@@ -219,8 +219,7 @@ def _load_sim_config(path: str):
     sys_spec = obj["system"]
 
     def channel(key):
-        c = sys_spec[key]
-        return Channel(np.asarray(c["rows"], dtype=float).reshape(c["input_size"], c["output_size"]))
+        return Channel.from_json(json.dumps(sys_spec[key]))
 
     system = AuxiliarySystem(
         u_given_v=channel("u_given_v"),

@@ -34,8 +34,9 @@ from .regions import (
     BinaryParams,
     InnerBounds,
     RegionPoint,
+    SubsetEntropies,
     binary_bec_bsc_point,
-    inner_bound_point,
+    inner_bounds_of_joint,
     lossless_region_point,
 )
 
@@ -211,6 +212,15 @@ def _better(cand: tuple, best: tuple | None) -> bool:
     if cand[0] != best[0]:
         return cand[0] > best[0]
     return cand[1] < best[1]
+
+
+def _best(cands) -> tuple | None:
+    """The ``_better``-best of (objective, key, ...) tuples; ``None`` entries are skipped."""
+    best = None
+    for cand in cands:
+        if cand is not None and _better(cand, best):
+            best = cand
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -420,43 +430,16 @@ class _Candidate:
         return b"".join(np.round(ch, 12).tobytes() for ch in self.channels)
 
 
-def _ent_nd(p: np.ndarray, axes: tuple[int, ...]) -> float:
-    drop = tuple(ax for ax in range(p.ndim) if ax not in axes)
-    return entropy_unchecked(p.sum(axis=drop) if drop else p)
-
-
-def _inner_bounds_raw(source: JointSource, d: DistortionMeasure,
-                      uv: np.ndarray, va: np.ndarray, wc: np.ndarray
-                      ) -> tuple[InnerBounds, np.ndarray]:
+def _system_bounds(source: JointSource, d: DistortionMeasure, uv, va, wc
+                   ) -> tuple[InnerBounds, np.ndarray]:
     """Six inner bounds plus the optimal reconstruction, from raw row matrices.
 
-    Identical math to ``inner_bound_point`` without construction overhead;
-    the ascent loop calls this thousands of times.
+    The search loops call this thousands of times, so it skips the
+    ``Channel`` and ``AuxiliarySystem`` validation of ``inner_bound_point``.
     """
-    p = np.einsum("vu,av,cw,ace->uvwace", uv, va, wc, source.probs)
-    U, V, W, A, C, E = range(6)
-
-    def cmi(xa, ya, za=()):
-        hz = _ent_nd(p, za) if za else 0.0
-        return max(0.0, _ent_nd(p, xa + za) + _ent_nd(p, ya + za) - _ent_nd(p, xa + ya + za) - hz)
-
-    p_vwa = p.sum(axis=(U, C, E))
-    recon = optimal_reconstruction(p_vwa, d)
-    d_min = float(
-        np.einsum("vwa,avw->", p_vwa, d.table[:, recon[
-            np.arange(recon.shape[0])[:, None], np.arange(recon.shape[1])[None, :]]])
-    )
-    i_ae_u = cmi((A,), (E,), (U,))
-    i_wc_v = cmi((W,), (C,), (V,))
-    bounds = InnerBounds(
-        r_a_min=cmi((V,), (A,), (W,)),
-        r_c_min=i_wc_v,
-        sum_min=cmi((V, W), (A, C)),
-        d_min=d_min,
-        delta_max=(_ent_nd(p, (A, V, W)) - _ent_nd(p, (V, W))) + cmi((A,), (W,), (U,)) - i_ae_u,
-        delta_minus_rc_max=(_ent_nd(p, (A, V)) - _ent_nd(p, (V,))) - i_ae_u - i_wc_v,
-    )
-    return bounds, recon
+    h = SubsetEntropies(np.einsum("vu,av,cw,ace->uvwace", uv, va, wc, source.probs))
+    recon = optimal_reconstruction(h.marginal(1, 2, 3), d)  # p(v, w, a)
+    return inner_bounds_of_joint(h, d, recon), recon
 
 
 _INFEASIBLE_BASE = -1e6
@@ -470,21 +453,20 @@ def _violation(bounds: InnerBounds, cons: RegionConstraints) -> float:
     return v
 
 
-def _evaluate_inner(source, d, uv, va, wc, constraints) -> tuple[float, InnerBounds, np.ndarray]:
-    """(score, bounds, reconstruction) for one system under one constraint set.
+def _score(bounds: InnerBounds, constraints: RegionConstraints) -> float:
+    """The objective of one system's bounds under one constraint set.
 
     Feasible systems score their achievable Delta; infeasible ones score
     ``_INFEASIBLE_BASE - violation`` so the ascent first descends the
     constraint violation and then maximizes Delta.
     """
-    bounds, sys_recon = _inner_bounds_raw(source, d, np.asarray(uv), np.asarray(va), np.asarray(wc))
     violation = _violation(bounds, constraints)
     if violation > SLACK:
-        return _INFEASIBLE_BASE - violation, bounds, sys_recon
+        return _INFEASIBLE_BASE - violation
     delta = bounds.delta_max
     if math.isfinite(constraints.max_r_c):
         delta = min(delta, constraints.max_r_c + bounds.delta_minus_rc_max)
-    return max(0.0, delta), bounds, sys_recon
+    return max(0.0, delta)
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
@@ -576,8 +558,7 @@ def _generic_start_worker(args):
     def eval_fn(cs):
         uv, va = cs[0], cs[1]
         wc = cs[2] if fixed_rows is None else fixed_rows
-        val, _, _ = _evaluate_inner(source, d, uv, va, wc, cons)
-        return val
+        return _score(_system_bounds(source, d, uv, va, wc)[0], cons)
 
     val, chans = _ascend(eval_fn, chans, rng)
     return val, _Candidate(chans).key(), [c.copy() for c in chans]
@@ -667,18 +648,14 @@ def generic_inner_frontier(
         args = [
             (source, d, shapes, fixed_rows, cons, seed, idx, s) for s in range(n_starts)
         ]
-        results = parallel_map(_generic_start_worker, args, workers)
-        best = None
-        for val, key, chans in results:
-            if _better((val, key), best):
-                best = (val, key, chans)
-        val, _, chans = best
+        val, _, chans = _best(parallel_map(_generic_start_worker, args, workers))
         if val <= _INFEASIBLE_BASE / 2:
             points.append(FrontierPoint(sweep=float(idx), feasible=False, point=None, params={}))
             continue
         uv, va = chans[0], chans[1]
         wc = chans[2] if fixed_w_given_c is None else fixed_w_given_c.rows
-        delta, bounds, recon = _evaluate_inner(source, d, uv, va, wc, cons)
+        bounds, recon = _system_bounds(source, d, uv, va, wc)
+        delta = _score(bounds, cons)
         if abs(delta - val) > 1e-9:
             raise RuntimeError("optimizer result failed re-validation")
         point = _assemble_point(bounds, delta, cons)
@@ -757,12 +734,7 @@ def lossless_frontier(
             continue
 
         args = [(source, nu, r_c, seed, s) for s in range(n_starts)]
-        results = parallel_map(_lossless_start_worker, args, workers)
-        best = None
-        for val, key, chans in results:
-            if _better((val, key), best):
-                best = (val, key, chans)
-        val, _, chans = best
+        val, _, chans = _best(parallel_map(_lossless_start_worker, args, workers))
         if val <= _INFEASIBLE_BASE / 2:
             points.append(FrontierPoint(sweep=r_c, feasible=False, point=None, params={}))
             continue
@@ -880,37 +852,44 @@ def brute_force_oracle(
         )
     if binary_fast:
         return _oracle_binary(source, d, grid_step, constraints, fixed_w_given_c, workers)
-    return _oracle_generic(source, d, caps, grid_step, constraints, fixed_w_given_c)
+    return _oracle_generic(source, d, caps, grid_step, constraints, fixed_w_given_c, workers)
 
 
-def _oracle_generic(source, d, caps, grid_step, constraints, fixed_w):
+def _oracle_generic_shard(args):
+    """Best (value, key, uv, va, wc, bounds) per constraint, over one U channel.
+
+    Each system's bounds are computed once and scored under every constraint.
+    """
+    source, d, uv, va_list, wc_list, cons_list = args
+    best = [None] * len(cons_list)
+    for va in va_list:
+        for wc in wc_list:
+            bounds, _ = _system_bounds(source, d, uv, va, wc)
+            key = (uv.tobytes(), va.tobytes(), wc.tobytes())
+            for ci, cons in enumerate(cons_list):
+                cand = (_score(bounds, cons), key, uv, va, wc, bounds)
+                if _better(cand, best[ci]):
+                    best[ci] = cand
+    return best
+
+
+def _oracle_generic(source, d, caps, grid_step, constraints, fixed_w, workers=1):
     na, nc, _ = source.alphabet_sizes
     cu, cv, cw = caps
     m = max(1, round(1.0 / grid_step))
-    rows_u = _simplex_grid(cu, m)
-    rows_v = _simplex_grid(cv, m)
-    rows_w = _simplex_grid(cw, m) if fixed_w is None else None
 
-    def channels(rows, n_in):
-        return itertools.product(rows, repeat=n_in)
+    def channels(k, n_in):
+        return [np.array(rows) for rows in itertools.product(_simplex_grid(k, m), repeat=n_in)]
 
-    points = []
-    for idx, cons in enumerate(constraints):
-        best = None
-        for uv_rows in channels(rows_u, cv):
-            uv = np.array(uv_rows)
-            for va_rows in channels(rows_v, na):
-                va = np.array(va_rows)
-                w_iter = (
-                    [fixed_w.rows] if fixed_w is not None
-                    else (np.array(r) for r in channels(rows_w, nc))
-                )
-                for wc in w_iter:
-                    val, bounds, _ = _evaluate_inner(source, d, uv, va, wc, cons)
-                    key = (uv.tobytes(), va.tobytes(), np.asarray(wc).tobytes())
-                    if _better((val, key), best):
-                        best = (val, key, uv.copy(), va.copy(), np.asarray(wc).copy(), bounds)
-        points.append(_oracle_point(best, idx, cons))
+    va_list = channels(cv, na)
+    wc_list = [np.asarray(fixed_w.rows)] if fixed_w is not None else channels(cw, nc)
+    cons_list = list(constraints)
+    shards = [(source, d, uv, va_list, wc_list, cons_list) for uv in channels(cu, cv)]
+    shard_bests = parallel_map(_oracle_generic_shard, shards, workers)
+    points = [
+        _oracle_point(_best(sb[ci] for sb in shard_bests), ci, cons)
+        for ci, cons in enumerate(cons_list)
+    ]
     return FrontierResult(
         tuple(points),
         provenance={"method": "exhaustive", "step": grid_step, "caps": list(caps)},
@@ -1199,10 +1178,7 @@ def _oracle_binary(source, d, grid_step, constraints, fixed_w, workers):
 
     points = []
     for ci, cons in enumerate(cons_list):
-        best = None
-        for sb in shard_bests:
-            if sb[ci] is not None and _better(sb[ci], best):
-                best = sb[ci]
+        best = _best(sb[ci] for sb in shard_bests)
         if best is None:
             points.append(FrontierPoint(sweep=float(ci), feasible=False, point=None, params={}))
             continue
@@ -1223,8 +1199,8 @@ def _oracle_binary(source, d, grid_step, constraints, fixed_w, workers):
             ])
         )
         # exact re-evaluation of the winning grid point
-        val, bounds, recon = _evaluate_inner(source, d, uv_rows, va_rows, wc_rows, cons)
-        val = max(0.0, val)
+        bounds, recon = _system_bounds(source, d, uv_rows, va_rows, wc_rows)
+        val = max(0.0, _score(bounds, cons))
         points.append(FrontierPoint(
             sweep=float(ci),
             feasible=True,

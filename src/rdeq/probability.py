@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,8 @@ def _check_distribution(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.size == 0:
         raise ValidationError("empty distribution")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("distribution has a non-finite entry")
     if np.any(p < -NORM_TOL):
         raise ValidationError(f"negative probability entry: min={p.min()}")
     total = p.sum()
@@ -148,6 +151,15 @@ def conditional_mi(joint: np.ndarray, conditioning_axis: int) -> float:
 # domain types
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _malformed_json_is_invalid(what: str):
+    """Re-raise a parse error, a missing key or a wrong length as ValidationError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValidationError(f"malformed {what} JSON: {err!r}") from err
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -164,6 +176,8 @@ class Channel:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise ValidationError(f"channel matrix must be 2-d, got ndim={rows.ndim}")
+        if not np.all(np.isfinite(rows)):
+            raise ValidationError("channel has a non-finite entry")
         if np.any(rows < -NORM_TOL):
             raise ValidationError("channel has a negative entry")
         sums = rows.sum(axis=1)
@@ -205,8 +219,9 @@ class Channel:
 
     @staticmethod
     def from_json(text: str) -> "Channel":
-        obj = json.loads(text)
-        rows = np.asarray(obj["rows"], dtype=float).reshape(obj["input_size"], obj["output_size"])
+        with _malformed_json_is_invalid("channel"):
+            obj = json.loads(text)
+            rows = np.asarray(obj["rows"], dtype=float).reshape(obj["input_size"], obj["output_size"])
         return Channel(rows)
 
     @staticmethod
@@ -234,6 +249,8 @@ class JointSource:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 3:
             raise ValidationError(f"source table must be 3-d (a, c, e), got ndim={p.ndim}")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("source has a non-finite entry")
         if np.any(p < -NORM_TOL):
             raise ValidationError("source has a negative entry")
         if abs(p.sum() - 1.0) > NORM_TOL:
@@ -271,9 +288,10 @@ class JointSource:
 
     @staticmethod
     def from_json(text: str) -> "JointSource":
-        obj = json.loads(text)
-        na, nc, ne = obj["alphabets"]
-        probs = np.asarray(obj["probs"], dtype=float).reshape(na, nc, ne)
+        with _malformed_json_is_invalid("source"):
+            obj = json.loads(text)
+            na, nc, ne = obj["alphabets"]
+            probs = np.asarray(obj["probs"], dtype=float).reshape(na, nc, ne)
         return JointSource(probs)
 
     @staticmethod

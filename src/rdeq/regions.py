@@ -40,31 +40,46 @@ def positive_part(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# entropy helpers over a dense multi-axis joint
+# entropy helper over a dense multi-axis joint
 # ---------------------------------------------------------------------------
 
-def _ent(p: np.ndarray, axes: tuple[int, ...]) -> float:
-    drop = tuple(ax for ax in range(p.ndim) if ax not in axes)
-    return entropy_unchecked(p.sum(axis=drop) if drop else p)
+class SubsetEntropies:
+    """Marginals and entropies of one dense joint, each computed once.
 
+    Both caches are keyed on the sorted axis set, so naming the same
+    variables in another order reuses the entry and every marginal is the
+    same ``p.sum(axis=drop)`` call.  The entropy of the empty set is 0.
+    """
 
-def _cond_ent(p: np.ndarray, x_axes: tuple[int, ...], z_axes: tuple[int, ...]) -> float:
-    """H(X|Z)."""
-    hz = _ent(p, z_axes) if z_axes else 0.0
-    return max(0.0, _ent(p, x_axes + z_axes) - hz)
+    def __init__(self, p: np.ndarray) -> None:
+        self.p = p
+        self._marginals: dict[tuple[int, ...], np.ndarray] = {}
+        self._entropies: dict[tuple[int, ...], float] = {(): 0.0}
 
+    def marginal(self, *axes: int) -> np.ndarray:
+        """Marginal over ``axes``, kept in the joint's axis order."""
+        key = tuple(sorted(axes))
+        m = self._marginals.get(key)
+        if m is None:
+            drop = tuple(ax for ax in range(self.p.ndim) if ax not in key)
+            m = self._marginals[key] = self.p.sum(axis=drop) if drop else self.p
+        return m
 
-def _cmi(p: np.ndarray, x_axes: tuple[int, ...], y_axes: tuple[int, ...],
-         z_axes: tuple[int, ...] = ()) -> float:
-    """I(X;Y|Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z)."""
-    hz = _ent(p, z_axes) if z_axes else 0.0
-    val = (
-        _ent(p, x_axes + z_axes)
-        + _ent(p, y_axes + z_axes)
-        - _ent(p, x_axes + y_axes + z_axes)
-        - hz
-    )
-    return max(0.0, val)
+    def __call__(self, *axes: int) -> float:
+        """H(X_axes)."""
+        key = tuple(sorted(axes))
+        h = self._entropies.get(key)
+        if h is None:
+            h = self._entropies[key] = entropy_unchecked(self.marginal(*key))
+        return h
+
+    def cond(self, x: tuple[int, ...], z: tuple[int, ...]) -> float:
+        """H(X|Z), clamped at 0."""
+        return max(0.0, self(*x, *z) - self(*z))
+
+    def cmi(self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...] = ()) -> float:
+        """I(X;Y|Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z), clamped at 0."""
+        return max(0.0, self(*x, *z) + self(*y, *z) - self(*x, *y, *z) - self(*z))
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +242,37 @@ class BinaryParams:
 
 
 # ---------------------------------------------------------------------------
-# coded side information: inner region, corner points, outer region
+# coded side information: inner region and corner points
 # ---------------------------------------------------------------------------
 
 def _expected_distortion(p_vwa: np.ndarray, d: DistortionMeasure, recon: np.ndarray) -> float:
-    nv, nw, _ = p_vwa.shape
-    v_idx, w_idx = np.meshgrid(np.arange(nv), np.arange(nw), indexing="ij")
-    cost = d.table[:, recon[v_idx, w_idx]]  # (a, v, w)
-    return float(np.einsum("vwa,avw->", p_vwa, cost))
+    return float(np.einsum("vwa,avw->", p_vwa, d.table[:, recon]))
+
+
+def inner_bounds_of_joint(h: SubsetEntropies, d: DistortionMeasure,
+                          recon: np.ndarray) -> InnerBounds:
+    """The six inner-region bounds of a composed (u, v, w, a, c, e) joint.
+
+    H(A|V,W) and H(A|V) enter as unclamped differences; the five mutual
+    informations are clamped at 0.
+    """
+    i_ae_u = h.cmi((_A,), (_E,), (_U,))
+    i_wc_v = h.cmi((_W,), (_C,), (_V,))
+    return InnerBounds(
+        r_a_min=h.cmi((_V,), (_A,), (_W,)),
+        r_c_min=i_wc_v,
+        sum_min=h.cmi((_V, _W), (_A, _C)),
+        d_min=_expected_distortion(h.marginal(_V, _W, _A), d, recon),
+        delta_max=(h(_A, _V, _W) - h(_V, _W)) + h.cmi((_A,), (_W,), (_U,)) - i_ae_u,
+        delta_minus_rc_max=(h(_A, _V) - h(_V)) - i_ae_u - i_wc_v,
+    )
 
 
 def inner_bound_point(source: JointSource, d: DistortionMeasure,
                       sys: AuxiliarySystem) -> InnerBounds:
     """Evaluate the six inner-region bounds at a given auxiliary system."""
     p = compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c).probs
-    p_vwa = np.transpose(p.sum(axis=(_U, _C, _E)), (0, 1, 2))  # (v, w, a)
-    return InnerBounds(
-        r_a_min=_cmi(p, (_V,), (_A,), (_W,)),
-        r_c_min=_cmi(p, (_W,), (_C,), (_V,)),
-        sum_min=_cmi(p, (_V, _W), (_A, _C)),
-        d_min=_expected_distortion(p_vwa, d, sys.reconstruction),
-        delta_max=_cond_ent(p, (_A,), (_V, _W))
-        + _cmi(p, (_A,), (_W,), (_U,))
-        - _cmi(p, (_A,), (_E,), (_U,)),
-        delta_minus_rc_max=_cond_ent(p, (_A,), (_V,))
-        - _cmi(p, (_A,), (_E,), (_U,))
-        - _cmi(p, (_W,), (_C,), (_V,)),
-    )
+    return inner_bounds_of_joint(SubsetEntropies(p), d, sys.reconstruction)
 
 
 def corner_point(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem,
@@ -263,55 +282,51 @@ def corner_point(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem
     The three points share D; (I) and (II) share R_A + R_C and Delta; (II) and
     (III) share R_A + R_C and Delta - R_C.
     """
-    p = compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c).probs
-    p_vwa = p.sum(axis=(_U, _C, _E))
-    dist = _expected_distortion(p_vwa, d, sys.reconstruction)
-    h_a_ue = _cond_ent(p, (_A,), (_U, _E))
+    h = SubsetEntropies(
+        compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c).probs
+    )
+    dist = _expected_distortion(h.marginal(_V, _W, _A), d, sys.reconstruction)
+    h_a_ue = h.cond((_A,), (_U, _E))
     if which == "I":
-        r_a = _cmi(p, (_V,), (_A,), (_W,))
-        r_c = _cmi(p, (_W,), (_C,))
-        delta = h_a_ue - _cmi(p, (_V,), (_A,), (_U, _W))
+        r_a = h.cmi((_V,), (_A,), (_W,))
+        r_c = h.cmi((_W,), (_C,))
+        delta = h_a_ue - h.cmi((_V,), (_A,), (_U, _W))
     elif which == "II":
-        r_a = _cmi(p, (_U,), (_A,)) + _cmi(p, (_V,), (_A,), (_U, _W))
-        r_c = _cmi(p, (_W,), (_C,), (_U,))
-        delta = h_a_ue - _cmi(p, (_V,), (_A,), (_U, _W))
+        r_a = h.cmi((_U,), (_A,)) + h.cmi((_V,), (_A,), (_U, _W))
+        r_c = h.cmi((_W,), (_C,), (_U,))
+        delta = h_a_ue - h.cmi((_V,), (_A,), (_U, _W))
     elif which == "III":
-        r_a = _cmi(p, (_V,), (_A,))
-        r_c = _cmi(p, (_W,), (_C,), (_V,))
-        delta = h_a_ue - _cmi(p, (_V,), (_A,), (_U,))
+        r_a = h.cmi((_V,), (_A,))
+        r_c = h.cmi((_W,), (_C,), (_V,))
+        delta = h_a_ue - h.cmi((_V,), (_A,), (_U,))
     else:
         raise ValidationError(f"corner point must be one of 'I', 'II', 'III', got {which!r}")
     return RegionPoint(r_a, r_c, dist, delta)
-
-
-def outer_bound_point(
-    source: JointSource,
-    d: DistortionMeasure,
-    u_given_v: Channel,
-    v_given_a: Channel,
-    w_given_c_weak: Channel,
-    reconstruction: np.ndarray,
-) -> InnerBounds:
-    """Evaluate the outer-region bounds; a membership test only.
-
-    The outer region requires only the factorizations p(u,v,a,c,e) =
-    p(u|v)p(v|a)p(a,c,e) and p(w,a,c,e) = p(w|c)p(a,c,e); W and (U, V) need
-    not be jointly constrained.  Terms that mix W with (U, V) are evaluated
-    under the canonical coupling in which W is drawn from C independently of
-    (U, V), so at matched channels this coincides with ``inner_bound_point``.
-    No search over the outer region is attempted.
-    """
-    sys = AuxiliarySystem(u_given_v, v_given_a, w_given_c_weak, reconstruction)
-    return inner_bound_point(source, d, sys)
 
 
 # ---------------------------------------------------------------------------
 # uncoded side information (Bob sees C directly)
 # ---------------------------------------------------------------------------
 
-def _compose_uncoded(source: JointSource, u_given_v: Channel, v_given_a: Channel) -> np.ndarray:
-    """p(u, v, a, c, e) with axes (u, v, a, c, e)."""
-    return np.einsum("vu,av,ace->uvace", u_given_v.rows, v_given_a.rows, source.probs)
+def _uncoded(source: JointSource, d: DistortionMeasure, u_given_v: Channel,
+             v_given_a: Channel, reconstruction: np.ndarray
+             ) -> tuple[UncodedBounds, SubsetEntropies]:
+    """The bounds and the entropies of p(u, v, a, c, e), axes in that order."""
+    h = SubsetEntropies(
+        np.einsum("vu,av,ace->uvace", u_given_v.rows, v_given_a.rows, source.probs)
+    )
+    nv = v_given_a.output_size
+    nc = source.alphabet_sizes[1]
+    recon = np.asarray(reconstruction, dtype=int)
+    if recon.shape != (nv, nc):
+        raise ValidationError(f"reconstruction must have shape ({nv}, {nc}), got {recon.shape}")
+    p_vca = np.transpose(h.marginal(1, 2, 3), (0, 2, 1))  # (v, c, a)
+    bounds = UncodedBounds(
+        r_a_min=h.cmi((1,), (2,), (3,)),
+        d_min=_expected_distortion(p_vca, d, recon),
+        delta_max=h.cond((2,), (1, 3)) + h.cmi((2,), (3,), (0,)) - h.cmi((2,), (4,), (0,)),
+    )
+    return bounds, h
 
 
 def uncoded_region_point(
@@ -322,20 +337,7 @@ def uncoded_region_point(
     reconstruction: np.ndarray,
 ) -> UncodedBounds:
     """Exact region for uncoded side information at one (U, V, reconstruction)."""
-    p = _compose_uncoded(source, u_given_v, v_given_a)  # (u, v, a, c, e)
-    nv = v_given_a.output_size
-    nc = source.alphabet_sizes[1]
-    recon = np.asarray(reconstruction, dtype=int)
-    if recon.shape != (nv, nc):
-        raise ValidationError(f"reconstruction must have shape ({nv}, {nc}), got {recon.shape}")
-    p_vca = np.transpose(p.sum(axis=(0, 4)), (0, 2, 1))  # (v, c, a)
-    return UncodedBounds(
-        r_a_min=_cmi(p, (1,), (2,), (3,)),
-        d_min=_expected_distortion(p_vca, d, recon),
-        delta_max=_cond_ent(p, (2,), (1, 3))
-        + _cmi(p, (2,), (3,), (0,))
-        - _cmi(p, (2,), (4,), (0,)),
-    )
+    return _uncoded(source, d, u_given_v, v_given_a, reconstruction)[0]
 
 
 def uncoded_region_point_alt(
@@ -350,11 +352,10 @@ def uncoded_region_point_alt(
     Same Delta bound; the extra positive-part term is the price of making the
     common layer decodable at the eavesdropper.
     """
-    base = uncoded_region_point(source, d, u_given_v, v_given_a, reconstruction)
-    p = _compose_uncoded(source, u_given_v, v_given_a)
-    extra = positive_part(_cmi(p, (0,), (3,)) - _cmi(p, (0,), (4,)))
+    base, h = _uncoded(source, d, u_given_v, v_given_a, reconstruction)
+    extra = positive_part(h.cmi((0,), (3,)) - h.cmi((0,), (4,)))
     return UncodedBounds(
-        r_a_min=extra + _cmi(p, (1,), (2,), (3,)),
+        r_a_min=extra + base.r_a_min,
         d_min=base.d_min,
         delta_max=base.delta_max,
     )
@@ -364,29 +365,29 @@ def uncoded_region_point_alt(
 # distributed lossless compression
 # ---------------------------------------------------------------------------
 
-def _compose_lossless(source: JointSource, u_given_a: Channel) -> np.ndarray:
-    """p(u, a, c, e)."""
-    return np.einsum("au,ace->uace", u_given_a.rows, source.probs)
+def _lossless(source: JointSource, u_given_a: Channel) -> tuple[LosslessBounds, SubsetEntropies]:
+    """The bounds and the entropies of p(u, a, c, e), axes in that order."""
+    if u_given_a.input_size != source.alphabet_sizes[0]:
+        raise ValidationError("u_given_a input size must match |A|")
+    h = SubsetEntropies(np.einsum("au,ace->uace", u_given_a.rows, source.probs))
+    bounds = LosslessBounds(
+        r_a_min=h.cond((1,), (2,)),
+        r_c_min=h.cond((2,), (0,)),
+        sum_min=h(1, 2),
+        delta_max=h.cmi((1,), (2,), (0,)) - h.cmi((1,), (3,), (0,)),
+    )
+    return bounds, h
 
 
 def lossless_region_point(source: JointSource, u_given_a: Channel) -> LosslessBounds:
     """Exact compression-equivocation region at one helper variable U."""
-    if u_given_a.input_size != source.alphabet_sizes[0]:
-        raise ValidationError("u_given_a input size must match |A|")
-    p = _compose_lossless(source, u_given_a)  # (u, a, c, e)
-    return LosslessBounds(
-        r_a_min=_cond_ent(p, (1,), (2,)),
-        r_c_min=_cond_ent(p, (2,), (0,)),
-        sum_min=_ent(p, (1, 2)),
-        delta_max=_cmi(p, (1,), (2,), (0,)) - _cmi(p, (1,), (3,), (0,)),
-    )
+    return _lossless(source, u_given_a)[0]
 
 
 def lossless_region_point_alt(source: JointSource, u_given_a: Channel) -> LosslessBounds:
     """Alternative rate form: R_A >= [I(U;C) - I(U;E)]_+ + H(A|C)."""
-    base = lossless_region_point(source, u_given_a)
-    p = _compose_lossless(source, u_given_a)
-    extra = positive_part(_cmi(p, (0,), (2,)) - _cmi(p, (0,), (3,)))
+    base, h = _lossless(source, u_given_a)
+    extra = positive_part(h.cmi((0,), (2,)) - h.cmi((0,), (3,)))
     return LosslessBounds(
         r_a_min=extra + base.r_a_min,
         r_c_min=base.r_c_min,

@@ -145,6 +145,13 @@ class TestRegionAndLossless:
         assert rc == 0
         assert out.startswith("sweep,feasible")
 
+    def test_malformed_source_exit(self, capsys, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text('{"alphabets": [2, 2, 2], "probs": [0.5, 0.5]}')
+        rc, _, err = run_cli(["lossless", "--source", str(path), "--rc-grid", "0.5"], capsys)
+        assert rc == 2
+        assert "validation error" in err
+
     def test_lossless_infeasible(self, capsys):
         rc, _, _ = run_cli(
             ["lossless", "--source", DATA, "--rc-grid", "0.01", "--starts", "2"], capsys)
@@ -184,6 +191,15 @@ class TestSimulateCommand:
         rc, _, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert rc == 4
         assert "budget" in err.lower()
+
+    def test_malformed_channel_exit(self, capsys, tmp_path):
+        path = sweep_sim_config(tmp_path)
+        cfg = json.loads(Path(path).read_text())
+        cfg["system"]["u_given_v"]["rows"] = [1, 0, 0]
+        Path(path).write_text(json.dumps(cfg))
+        rc, _, err = run_cli(["simulate", "--config", path], capsys)
+        assert rc == 2
+        assert "validation error" in err
 
     def test_trivial_degenerate_config(self, capsys, tmp_path):
         cfg = {

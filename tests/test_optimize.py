@@ -284,9 +284,29 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(4)
         src = rand_source(rng)
         cons = (RegionConstraints(max_d=0.3),)
-        a = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.1, cons, workers=1)
-        b = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.1, cons, workers=2)
-        assert a.to_json() == b.to_json()
+        # the binary fast path, then the generic enumeration (|W| = 3)
+        for caps, step in (((2, 2, 2), 0.1), ((2, 2, 3), 0.5)):
+            a = brute_force_oracle(src, HAMMING2, caps, step, cons, workers=1)
+            b = brute_force_oracle(src, HAMMING2, caps, step, cons, workers=2)
+            assert a.to_json() == b.to_json()
+
+    def test_generic_constraints_share_one_grid_walk(self):
+        # scoring every constraint from one walk of the grid gives, point for
+        # point, what one call per constraint gives
+        rng = np.random.default_rng(6)
+        src = rand_source(rng)
+        cons = (
+            RegionConstraints(max_d=0.2),
+            RegionConstraints(max_r_a=0.3, max_d=0.3),
+            RegionConstraints(max_r_c=0.25, max_d=0.25),
+            RegionConstraints(max_d=0.0, max_r_a=0.0),
+            RegionConstraints(),
+        )
+        together = _oracle_generic(src, HAMMING2, (2, 2, 2), 0.5, cons, None)
+        assert [p.feasible for p in together.points] == [True, True, True, False, True]
+        for pt, c in zip(together.points, cons):
+            alone = _oracle_generic(src, HAMMING2, (2, 2, 2), 0.5, (c,), None).points[0]
+            assert (pt.feasible, pt.point, pt.params) == (alone.feasible, alone.point, alone.params)
 
 
 class TestConvexify:

@@ -204,6 +204,36 @@ class TestChannelsAndSource:
         with pytest.raises(ValidationError):
             JointSource(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passes both the sign test and the sum test
+        with pytest.raises(ValidationError):
+            JointSource(np.full((2, 2, 2), bad))
+        with pytest.raises(ValidationError):
+            Channel([[bad, bad]])
+        with pytest.raises(ValidationError):
+            entropy(np.array([bad, 0.5]))
+
+    @pytest.mark.parametrize("text", [
+        '{"alphabets": [2, 2, 2], "probs": [0.5, 0.5]}',
+        '{"probs": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}',
+        '{"alphabets": [2, 2], "probs": [0.5, 0.5]}',
+        '[0.5, 0.5]',
+        'not json',
+    ])
+    def test_malformed_source_json_rejected(self, text):
+        with pytest.raises(ValidationError):
+            JointSource.from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"input_size": 2, "output_size": 2, "rows": [1, 0, 0]}',
+        '{"input_size": 1, "rows": [1]}',
+        '{"input_size": 1, "output_size": 2, "rows": ["a", "b"]}',
+    ])
+    def test_malformed_channel_json_rejected(self, text):
+        with pytest.raises(ValidationError):
+            Channel.from_json(text)
+
     def test_distortion_validation(self):
         with pytest.raises(ValidationError):
             DistortionMeasure(np.array([[0.0, -1.0], [1.0, 0.0]]))

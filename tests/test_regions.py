@@ -20,7 +20,6 @@ from rdeq.regions import (
     inner_bound_point,
     lossless_region_point,
     lossless_region_point_alt,
-    outer_bound_point,
     uncoded_region_point,
     uncoded_region_point_alt,
 )
@@ -143,6 +142,7 @@ class TestInnerBound:
     def test_admits(self):
         src = make_bec_bsc_source(0.1, 0.3)
         b = inner_bound_point(src, HAMMING2, degenerate_system(src))
+        assert b.delta_max == pytest.approx(h2(0.1), abs=1e-12)
         assert b.admits(RegionPoint(0.0, 0.0, 0.5, 0.0))
         assert not b.admits(RegionPoint(0.0, 0.0, 0.4, 0.0))
         assert not b.admits(RegionPoint(0.0, 0.0, 0.5, h2(0.1) + 0.01))
@@ -205,28 +205,6 @@ class TestCornerPoints:
         src = make_bec_bsc_source(0.1, 0.3)
         with pytest.raises(ValidationError):
             corner_point(src, HAMMING2, degenerate_system(src), "IV")
-
-
-class TestOuterBound:
-    def test_coincides_with_inner_at_matched_system(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            src = JointSource(rand_dist(rng, (2, 2, 2)))
-            sys = rand_system(rng)
-            inner = inner_bound_point(src, HAMMING2, sys)
-            outer = outer_bound_point(
-                src, HAMMING2, sys.u_given_v, sys.v_given_a, sys.w_given_c, sys.reconstruction
-            )
-            for name in ("r_a_min", "r_c_min", "sum_min", "d_min", "delta_max", "delta_minus_rc_max"):
-                assert getattr(inner, name) == pytest.approx(getattr(outer, name), abs=1e-10)
-
-    def test_degenerate(self):
-        src = make_bec_bsc_source(0.1, 0.3)
-        sys = degenerate_system(src)
-        b = outer_bound_point(
-            src, HAMMING2, sys.u_given_v, sys.v_given_a, sys.w_given_c, sys.reconstruction
-        )
-        assert b.delta_max == pytest.approx(h2(0.1), abs=1e-12)
 
 
 class TestUncodedRegion:
