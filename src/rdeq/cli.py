@@ -205,34 +205,44 @@ def cmd_lossless(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _entry(spec, key: str):
+    """``spec[key]`` of a simulate config; a missing entry is a validation error."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValidationError(f"simulate config has no '{key}' entry")
+    return spec[key]
+
+
 def _load_sim_config(path: str):
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    src_spec = obj["source"]
+    src_spec = _entry(obj, "source")
     if "bec_bsc" in src_spec:
-        p = float(src_spec["bec_bsc"]["p"])
-        eps = src_spec["bec_bsc"]["eps"]
+        p = float(_entry(src_spec["bec_bsc"], "p"))
+        eps = _entry(src_spec["bec_bsc"], "eps")
         eps = h2(p) if eps == "h2p" else float(eps)
         source = make_bec_bsc_source(p, eps)
     else:
         source = JointSource.from_json(json.dumps(src_spec))
-    sys_spec = obj["system"]
+    sys_spec = _entry(obj, "system")
 
     def channel(key):
-        return Channel.from_json(json.dumps(sys_spec[key]))
+        return Channel.from_json(json.dumps(_entry(sys_spec, key)))
 
     system = AuxiliarySystem(
         u_given_v=channel("u_given_v"),
         v_given_a=channel("v_given_a"),
         w_given_c=channel("w_given_c"),
-        reconstruction=np.asarray(sys_spec["reconstruction"], dtype=int),
+        reconstruction=np.asarray(_entry(sys_spec, "reconstruction"), dtype=int),
     )
-    code = CodeConfig(**obj["code"])
+    try:
+        code = CodeConfig(**_entry(obj, "code"))
+    except TypeError as err:
+        raise ValidationError(f"simulate config 'code' entry: {err}") from None
     dist_spec = obj.get("distortion", "hamming")
     if dist_spec == "hamming":
         d = DistortionMeasure.hamming(source.alphabet_sizes[0])
     else:
-        d = DistortionMeasure(np.asarray(dist_spec["table"], dtype=float))
+        d = DistortionMeasure(np.asarray(_entry(dist_spec, "table"), dtype=float))
     return source, system, d, code, int(obj.get("trials", 0)), bool(obj.get("compute_equivocation", True))
 
 
@@ -393,10 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("which", choices=["table3", "fig10"])
     rep.set_defaults(func=cmd_reproduce)
 
+    # each subcommand takes only the flags it reads
     for sp in (b, g, r, lo, s, rep):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+    for sp in (b, g, r, lo):
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    for sp in (r, lo):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for sp in (r, lo, s):
         sp.add_argument("--workers", type=int, default=1)
     return ap
 

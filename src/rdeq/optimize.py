@@ -1255,13 +1255,9 @@ def convexify(points) -> list[RegionPoint]:
             keep = idx[np.unique([int(np.argmin(coords)), int(np.argmax(coords))])]
         else:
             coords = centered @ vt[:rank].T
-            try:
-                from scipy.spatial import ConvexHull
+            from scipy.spatial import ConvexHull  # a module-level import slows every CLI start
 
-                hull = ConvexHull(coords)
-                keep = idx[np.sort(hull.vertices)]
-            except Exception:
-                keep = idx
+            keep = idx[np.sort(ConvexHull(coords).vertices)]
     chosen = arr[keep]
     order = np.lexsort(chosen.T[::-1])
     return [pts[keep[i]] for i in order]

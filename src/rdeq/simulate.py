@@ -29,6 +29,7 @@ from .regions import AuxiliarySystem
 TRIAL_SHARD = 2048          # trials per seeding shard; fixed for reproducibility
 _SAMPLE_BATCH = 4096        # candidate draws per rejection-sampling round
 _MAX_SAMPLE_ROUNDS = 500
+_PAIRS = 4096               # (codeword, row) pairs per typicality call in a codeword search
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +203,7 @@ class CodeInstance:
     w_cb: np.ndarray = field(repr=False)      # (num_w, n)
 
     def __post_init__(self) -> None:
-        uv = self.system.u_given_v.rows
-        va = self.system.v_given_a.rows
-        wc = self.system.w_given_c.rows
-        p_a = self.source.p_a()
-        p_uva = np.einsum("vu,av,a->uva", uv, va, p_a)
-        p_u = p_uva.sum(axis=(1, 2))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p_va_given_u = np.where(
-                p_u[:, None, None] > 0, p_uva / np.where(p_u[:, None, None] > 0, p_u[:, None, None], 1.0), 0.0
-            )
-            p_v_given_u = p_va_given_u.sum(axis=2)
-        object.__setattr__(self, "_p_u", p_u)
-        object.__setattr__(self, "_p_ua", p_uva.sum(axis=1))
-        object.__setattr__(self, "_p_va_given_u", p_va_given_u)
-        object.__setattr__(self, "_p_v_given_u", p_v_given_u)
-        p_wc = np.einsum("cw,c->wc", wc, self.source.p_c())
-        object.__setattr__(self, "_p_w", p_wc.sum(axis=1))
-        object.__setattr__(self, "_p_wc", p_wc)
-        object.__setattr__(
-            self, "_p_uvw",
-            np.einsum("vu,av,cw,ac->uvw", uv, va, wc, self.source.p_ac()),
-        )
+        object.__setattr__(self, "_dist", _code_distributions(self.source, self.system))
         cfg = self.config
         object.__setattr__(self, "u_bin", np.arange(cfg.num_u) % cfg.bins_u)
         object.__setattr__(self, "v_bin", np.arange(cfg.num_v) % cfg.bins_v)
@@ -263,27 +243,22 @@ class CodeInstance:
 
     def _alice_stage1(self, a_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First u-codeword jointly typical with each row; fallback 0 on failure."""
-        idx = _first_typical(self.u_cb, a_rows, self._p_ua, self.config.delta)
-        failed = idx < 0
-        return np.where(failed, 0, idx), failed
+        return _first_typical(self.u_cb, a_rows, self._dist["p_ua"], self.config.delta)
 
     def _alice_stage2(self, a_rows: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First v-codeword (within codebook s1) pair-typical with a^n given u^n."""
-        m = a_rows.shape[0]
-        nv, na = self._p_va_given_u.shape[1:]
-        p_pair = self._p_va_given_u.reshape(self._p_va_given_u.shape[0], nv * na)
-        result = np.full(m, -1, dtype=np.int64)
-        for s2 in range(self.config.num_v):
-            open_rows = np.nonzero(result < 0)[0]
-            if open_rows.size == 0:
-                break
-            u_rows = self.u_cb[s1[open_rows]].astype(np.int64)
-            v_rows = self.v_cb[s1[open_rows], s2].astype(np.int64)
-            pair_rows = v_rows * na + a_rows[open_rows]
-            ok = conditionally_typical_pairs(u_rows, pair_rows, p_pair, self.config.delta)
-            result[open_rows[ok]] = s2
-        failed = result < 0
-        return np.where(failed, 0, result), failed
+        n = self.config.n
+        nu, nv, na = self._dist["p_va_given_u"].shape
+        p_pair = self._dist["p_va_given_u"].reshape(nu, nv * na)
+
+        def typical(cws, open_rows):
+            books = s1[open_rows]
+            pairs = self.v_cb[books[None, :], cws[:, None]].astype(np.int64) * na + a_rows[open_rows]
+            u_rows = np.tile(self.u_cb[books], (cws.size, 1))
+            ok = conditionally_typical_pairs(u_rows, pairs.reshape(-1, n), p_pair, self.config.delta)
+            return ok.reshape(cws.size, open_rows.size)
+
+        return _first_hit(self.config.num_v, a_rows.shape[0], typical)
 
     def encode_charlie(self, c_n: np.ndarray) -> CharlieEncoding:
         c_n = np.asarray(c_n, dtype=np.int64)
@@ -294,9 +269,7 @@ class CodeInstance:
         return CharlieEncoding(s=s, r=int(self.w_bin[s]), failed=bool(failed[0]))
 
     def _charlie_stage(self, c_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = _first_typical(self.w_cb, c_rows, self._p_wc, self.config.delta)
-        failed = idx < 0
-        return np.where(failed, 0, idx), failed
+        return _first_typical(self.w_cb, c_rows, self._dist["p_wc"], self.config.delta)
 
     def alice_message_index(self, a_n: np.ndarray) -> int:
         """The public message J as a flat integer r1 * bins_v + r2."""
@@ -315,58 +288,82 @@ class CodeInstance:
         if not (0 <= r1 < self.config.bins_u and 0 <= r2 < self.config.bins_v
                 and 0 <= k < self.config.bins_w):
             raise ValidationError("bin index out of range")
-        cands1 = self.u_bin_members[r1]
-        cands2 = self.v_bin_members[r2]
-        cands_w = self.w_bin_members[k]
-        matches = []
-        first_candidate = None
-        for s1 in cands1:
-            for s2 in cands2:
-                for s in cands_w:
-                    if first_candidate is None:
-                        first_candidate = (int(s1), int(s2), int(s))
-                    if self._triple_typical(int(s1), int(s2), int(s)):
-                        matches.append((int(s1), int(s2), int(s)))
-        chosen = matches[0] if matches else first_candidate
-        s1, s2, s = chosen
-        a_hat = self.system.reconstruction[self.v_cb[s1, s2], self.w_cb[s]]
+        m1, m2, mw = self.u_bin_members[r1], self.v_bin_members[r2], self.w_bin_members[k]
+        p_uvw = self._dist["p_uvw"]
+        nv, nw = p_uvw.shape[1:]
+        # every candidate triple of the bins, in lexicographic (s1, s2, s) order
+        comb = ((self.u_cb[m1].astype(np.int64)[:, None, None] * nv
+                 + self.v_cb[m1[:, None], m2][:, :, None]) * nw + self.w_cb[mw])
+        ok = typical_rows(comb.reshape(-1, self.config.n), p_uvw, self.config.delta)
+        # the first match, or the first candidate when nothing matches
+        i1, i2, i3 = np.unravel_index(int(ok.argmax()), comb.shape[:3])
+        s1, s2, s = int(m1[i1]), int(m2[i2]), int(mw[i3])
+        n_matches = int(ok.sum())
         return DecodeResult(
-            success=len(matches) == 1,
-            n_matches=len(matches),
-            s1=s1, s2=s2, s=s, a_hat=a_hat,
+            success=n_matches == 1,
+            n_matches=n_matches,
+            s1=s1, s2=s2, s=s,
+            a_hat=self.system.reconstruction[self.v_cb[s1, s2], self.w_cb[s]],
         )
 
-    def _triple_typical(self, s1: int, s2: int, s: int) -> bool:
-        nv, nw = self._p_uvw.shape[1:]
-        comb = (self.u_cb[s1] * nv + self.v_cb[s1, s2]) * nw + self.w_cb[s]
-        return bool(typical_rows(comb[None, :], self._p_uvw.ravel(), self.config.delta)[0])
+
+def _first_hit(count: int, m: int, typical) -> tuple[np.ndarray, np.ndarray]:
+    """First of ``count`` codewords that ``typical`` accepts for each of ``m`` rows.
+
+    ``typical(cws, rows)`` is the (len(cws), len(rows)) typicality mask of the
+    codeword indices ``cws`` against the row indices ``rows``.  Codewords are
+    tested in order, a block at a time against every row still open, with
+    about ``_PAIRS`` pairs per block.  Returns (index, failed); a row with no
+    typical codeword gets index 0 and failed True.
+    """
+    result = np.full(m, -1, dtype=np.int64)
+    open_rows = np.arange(m)
+    lo = 0
+    while lo < count and open_rows.size:
+        cws = np.arange(lo, min(count, lo + max(1, _PAIRS // open_rows.size)))
+        ok = typical(cws, open_rows)
+        hit = ok.any(axis=0)
+        result[open_rows[hit]] = cws[ok[:, hit].argmax(axis=0)]
+        open_rows = open_rows[~hit]
+        lo += cws.size
+    return np.maximum(result, 0), result < 0
 
 
 def _first_typical(cb: np.ndarray, rows: np.ndarray, p_joint: np.ndarray,
-                   delta: float) -> np.ndarray:
-    """Index of the first codeword jointly typical with each row, else -1."""
-    m, n = rows.shape
+                   delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """First codeword of ``cb`` jointly typical with each row, as in ``_first_hit``."""
     ky = p_joint.shape[1]
-    flat_p = p_joint.ravel()
-    zero = flat_p == 0.0
-    result = np.full(m, -1, dtype=np.int64)
-    undecided = np.arange(m)
-    for s in range(cb.shape[0]):
-        if undecided.size == 0:
-            break
-        comb = cb[s][None, :].astype(np.int64) * ky + rows[undecided]
-        counts = _row_counts(comb, flat_p.size)
-        ok = (np.abs(counts / n - flat_p) <= delta + 1e-12).all(axis=1)
-        if zero.any():
-            ok &= (counts[:, zero] == 0).all(axis=1)
-        result[undecided[ok]] = s
-        undecided = undecided[~ok]
-    return result
+
+    def typical(cws, open_rows):
+        comb = cb[cws][:, None, :].astype(np.int64) * ky + rows[open_rows][None, :, :]
+        ok = typical_rows(comb.reshape(-1, rows.shape[1]), p_joint, delta)
+        return ok.reshape(cws.size, open_rows.size)
+
+    return _first_hit(cb.shape[0], rows.shape[0], typical)
 
 
 # ---------------------------------------------------------------------------
 # codebook generation
 # ---------------------------------------------------------------------------
+
+def _code_distributions(source: JointSource, sys: AuxiliarySystem) -> dict[str, np.ndarray]:
+    """The laws of one code: p(u), p(v|u) and p(w) draw the codebooks; p(u, a),
+    p(v, a | u) and p(w, c) drive the encoders; p(u, v, w) drives the decoder."""
+    uv, va, wc = sys.u_given_v.rows, sys.v_given_a.rows, sys.w_given_c.rows
+    p_uva = np.einsum("vu,av,a->uva", uv, va, source.p_a())
+    p_u = p_uva.sum(axis=(1, 2))
+    has_u = p_u > 0
+    safe_u = np.where(has_u, p_u, 1.0)
+    return {
+        "p_u": p_u,
+        "p_v_given_u": np.where(has_u[:, None], p_uva.sum(axis=2) / safe_u[:, None], 0.0),
+        "p_w": np.einsum("cw,c->w", wc, source.p_c()),
+        "p_ua": p_uva.sum(axis=1),
+        "p_va_given_u": np.where(has_u[:, None, None], p_uva / safe_u[:, None, None], 0.0),
+        "p_wc": np.einsum("cw,c->wc", wc, source.p_c()),
+        "p_uvw": np.einsum("vu,av,cw,ac->uvw", uv, va, wc, source.p_ac()),
+    }
+
 
 def _sample_typical(rng, probs: np.ndarray, count: int, n: int, delta: float,
                     what: str) -> np.ndarray:
@@ -427,21 +424,13 @@ def generate_codebooks(source: JointSource, sys: AuxiliarySystem, cfg: CodeConfi
     if sys.v_given_a.input_size != na or sys.w_given_c.input_size != nc:
         raise ValidationError("auxiliary system does not match the source alphabets")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-    uv, va, wc = sys.u_given_v.rows, sys.v_given_a.rows, sys.w_given_c.rows
-    p_a = source.p_a()
-    p_uva = np.einsum("vu,av,a->uva", uv, va, p_a)
-    p_u = p_uva.sum(axis=(1, 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_v_given_u = np.where(
-            p_u[:, None] > 0, p_uva.sum(axis=2) / np.where(p_u[:, None] > 0, p_u[:, None], 1.0), 0.0
-        )
-    p_w = np.einsum("cw,c->w", wc, source.p_c())
-
-    u_cb = _sample_typical(rng, p_u, cfg.num_u, cfg.n, cfg.delta, "u")
+    dist = _code_distributions(source, sys)
+    u_cb = _sample_typical(rng, dist["p_u"], cfg.num_u, cfg.n, cfg.delta, "u")
     v_cb = np.empty((cfg.num_u, cfg.num_v, cfg.n), dtype=np.int8)
     for s2 in range(cfg.num_v):
-        v_cb[:, s2, :] = _sample_conditionally_typical(rng, u_cb, p_v_given_u, cfg.delta, "v")
-    w_cb = _sample_typical(rng, p_w, cfg.num_w, cfg.n, cfg.delta, "w")
+        v_cb[:, s2, :] = _sample_conditionally_typical(rng, u_cb, dist["p_v_given_u"],
+                                                       cfg.delta, "v")
+    w_cb = _sample_typical(rng, dist["p_w"], cfg.num_w, cfg.n, cfg.delta, "w")
     return CodeInstance(config=cfg, source=source, system=sys,
                         u_cb=u_cb, v_cb=v_cb, w_cb=w_cb)
 
@@ -449,6 +438,27 @@ def generate_codebooks(source: JointSource, sys: AuxiliarySystem, cfg: CodeConfi
 # ---------------------------------------------------------------------------
 # exact equivocation by enumeration
 # ---------------------------------------------------------------------------
+
+def _digits(codes: np.ndarray, na: int, n: int) -> np.ndarray:
+    """Rows a^n of the integer codes sum_i a_i na^(n-1-i)."""
+    powers = na ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((codes[:, None] // powers[None, :]) % na).astype(np.int64)
+
+
+def _eve_channel(source: JointSource) -> tuple[np.ndarray, np.ndarray]:
+    """p(a) and the rows p(e|a), zero where p(a) = 0."""
+    p_a = source.p_a()
+    return p_a, np.where(p_a[:, None] > 0,
+                         source.p_ae() / np.where(p_a[:, None] > 0, p_a[:, None], 1.0), 0.0)
+
+
+def _joint_with_eve(dig: np.ndarray, p_a: np.ndarray, pe_rows: np.ndarray) -> np.ndarray:
+    """p(a^n, e^n) for each row a^n of ``dig``; columns are e^n by integer code."""
+    w = np.prod(p_a[dig], axis=1)[:, None]
+    for i in range(dig.shape[1]):
+        w = (w[:, :, None] * pe_rows[dig[:, i]][:, None, :]).reshape(w.shape[0], -1)
+    return w
+
 
 def message_equivocation(source: JointSource, n: int, j_of_seq: np.ndarray,
                          num_messages: int, *, work_budget: int = 1 << 31) -> float:
@@ -471,31 +481,19 @@ def message_equivocation(source: JointSource, n: int, j_of_seq: np.ndarray,
             f"equivocation enumeration needs ~{n_seq * ne ** n} accumulation steps, "
             f"above the budget of {work_budget}"
         )
-    p_a = source.p_a()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pe_rows = np.where(p_a[:, None] > 0, source.p_ae() / np.where(p_a[:, None] > 0, p_a[:, None], 1.0), 0.0)
-
+    p_a, pe_rows = _eve_channel(source)
     order = np.argsort(j_of_seq, kind="stable")
     j_sorted = j_of_seq[order]
     group_bounds = np.nonzero(np.diff(j_sorted))[0] + 1
     groups = np.split(order, group_bounds)
-
-    powers = na ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def digits_of(codes: np.ndarray) -> np.ndarray:
-        return ((codes[:, None] // powers[None, :]) % na).astype(np.int64)
 
     h_je = 0.0
     chunk = max(1, (1 << 22) // (ne ** n))
     for members in groups:
         vec = np.zeros(ne ** n)
         for lo in range(0, members.size, chunk):
-            codes = members[lo:lo + chunk]
-            dig = digits_of(codes)
-            w = np.prod(p_a[dig], axis=1)[:, None]
-            for i in range(n):
-                w = (w[:, :, None] * pe_rows[dig[:, i]][:, None, :]).reshape(w.shape[0], -1)
-            vec += w.sum(axis=0)
+            dig = _digits(members[lo:lo + chunk], na, n)
+            vec += _joint_with_eve(dig, p_a, pe_rows).sum(axis=0)
         nz = vec[vec > 0]
         if nz.size:
             h_je -= float((nz * np.log2(nz)).sum())
@@ -517,11 +515,9 @@ def encoder_message_table(instance: CodeInstance, *, state_budget: int = 1 << 24
         raise BudgetError(
             f"enumerating {n_seq} source sequences exceeds the budget of {state_budget}"
         )
-    powers = na ** np.arange(n - 1, -1, -1, dtype=np.int64)
     out = np.empty(n_seq, dtype=np.int64)
     for lo in range(0, n_seq, chunk):
-        codes = np.arange(lo, min(lo + chunk, n_seq), dtype=np.int64)
-        dig = ((codes[:, None] // powers[None, :]) % na).astype(np.int64)
+        dig = _digits(np.arange(lo, min(lo + chunk, n_seq), dtype=np.int64), na, n)
         out[lo:lo + dig.shape[0]] = instance._alice_message_batch(dig)
     return out
 
@@ -549,15 +545,8 @@ def eve_map_bit_error_rate(instance: CodeInstance, source: JointSource, *,
     if n_seq * (ne ** n) > state_budget * 64:
         raise BudgetError(f"BER enumeration too large for budget {state_budget}")
     table = encoder_message_table(instance, state_budget=state_budget)
-    p_a = source.p_a()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pe_rows = np.where(p_a[:, None] > 0, source.p_ae() / np.where(p_a[:, None] > 0, p_a[:, None], 1.0), 0.0)
-    powers = na ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = np.arange(n_seq, dtype=np.int64)
-    dig = ((codes[:, None] // powers[None, :]) % na).astype(np.int64)
-    w = np.prod(p_a[dig], axis=1)[:, None]
-    for i in range(n):
-        w = (w[:, :, None] * pe_rows[dig[:, i]][:, None, :]).reshape(w.shape[0], -1)
+    dig = _digits(np.arange(n_seq, dtype=np.int64), na, n)
+    w = _joint_with_eve(dig, *_eve_channel(source))
     # w[a_code, e_code] = p(a^n, e^n); group over j for posteriors
     ber = 0.0
     for j in np.unique(table):

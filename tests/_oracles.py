@@ -114,3 +114,82 @@ def oracle_h2(x):
     if x in (0.0, 1.0):
         return 0.0
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+
+def oracle_typical(seq, probs, delta):
+    """Count typicality of one sequence: |N(x)/n - p(x)| <= delta for every
+    symbol, and N(x) = 0 wherever p(x) = 0."""
+    n = len(seq)
+    counts = [0] * len(probs)
+    for x in seq:
+        counts[x] += 1
+    return all(abs(c / n - p) <= delta + 1e-12 and (p > 0.0 or c == 0)
+               for c, p in zip(counts, probs))
+
+
+def oracle_cond_typical(x_seq, y_seq, p_y_given_x, delta):
+    """y^n conditionally typical given x^n: |N(x,y)/n - N(x)/n p(y|x)| <= delta
+    for every pair, and N(x, y) = 0 wherever p(y|x) = 0."""
+    n = len(x_seq)
+    nx = [0] * len(p_y_given_x)
+    nxy = [[0] * len(row) for row in p_y_given_x]
+    for x, y in zip(x_seq, y_seq):
+        nx[x] += 1
+        nxy[x][y] += 1
+    for x, row in enumerate(p_y_given_x):
+        for y, p in enumerate(row):
+            c = nxy[x][y]
+            if abs(c / n - nx[x] / n * p) > delta + 1e-12 or (p == 0.0 and c > 0):
+                return False
+    return True
+
+
+def oracle_first_typical(codebook, rows, p_joint, delta):
+    """For each row, the index of the first codeword jointly typical with it
+    under p(codeword symbol, row symbol), or -1; one pair at a time."""
+    ky = len(p_joint[0])
+    flat = [p for prow in p_joint for p in prow]
+    out = []
+    for row in rows:
+        hit = -1
+        for s, word in enumerate(codebook):
+            if oracle_typical([x * ky + y for x, y in zip(word, row)], flat, delta):
+                hit = s
+                break
+        out.append(hit)
+    return out
+
+
+def oracle_first_refinement(u_words, v_books, rows, p_va_given_u, delta):
+    """For each row a^n, the index of the first v^n of its book v_books[i] with
+    (v^n, a^n) conditionally typical given u_words[i], or -1; one pair at a time."""
+    na = len(p_va_given_u[0][0])
+    p_pair = [[p for vrow in urow for p in vrow] for urow in p_va_given_u]
+    out = []
+    for u, book, a in zip(u_words, v_books, rows):
+        hit = -1
+        for s2, v in enumerate(book):
+            if oracle_cond_typical(u, [vi * na + ai for vi, ai in zip(v, a)], p_pair, delta):
+                hit = s2
+                break
+        out.append(hit)
+    return out
+
+
+def oracle_decode(u_cb, v_cb, w_cb, cands_u, cands_v, cands_w, p_uvw, delta):
+    """(match count, chosen triple) of joint-typicality decoding over the given
+    bin members: the first jointly typical (s1, s2, s) in lexicographic order,
+    else the first candidate."""
+    nv = len(p_uvw[0])
+    nw = len(p_uvw[0][0])
+    flat = [p for plane in p_uvw for prow in plane for p in prow]
+    matches, first = [], None
+    for s1 in cands_u:
+        for s2 in cands_v:
+            for s in cands_w:
+                if first is None:
+                    first = (s1, s2, s)
+                seq = [(u * nv + v) * nw + w for u, v, w in zip(u_cb[s1], v_cb[s1][s2], w_cb[s])]
+                if oracle_typical(seq, flat, delta):
+                    matches.append((s1, s2, s))
+    return len(matches), (matches[0] if matches else first)

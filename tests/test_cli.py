@@ -201,6 +201,29 @@ class TestSimulateCommand:
         assert rc == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize("drop", [("source",), ("system",), ("system", "reconstruction"),
+                                      ("code",)], ids="/".join)
+    def test_missing_config_entry_exit(self, capsys, tmp_path, drop):
+        path = sweep_sim_config(tmp_path)
+        cfg = json.loads(Path(path).read_text())
+        parent = cfg
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        Path(path).write_text(json.dumps(cfg))
+        rc, _, err = run_cli(["simulate", "--config", path], capsys)
+        assert rc == 2
+        assert f"'{drop[-1]}'" in err
+
+    def test_unknown_code_field_exit(self, capsys, tmp_path):
+        path = sweep_sim_config(tmp_path)
+        cfg = json.loads(Path(path).read_text())
+        cfg["code"]["blocklength"] = 8
+        Path(path).write_text(json.dumps(cfg))
+        rc, _, err = run_cli(["simulate", "--config", path], capsys)
+        assert rc == 2
+        assert "blocklength" in err
+
     def test_trivial_degenerate_config(self, capsys, tmp_path):
         cfg = {
             "source": {"bec_bsc": {"p": 0.1, "eps": 0.3}},
@@ -220,6 +243,24 @@ class TestSimulateCommand:
         assert rc == 0
         rep = json.loads(out)
         assert rep["exact_equivocation"] == pytest.approx(h2(0.1), abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["binary", "--p", "0.1", "--eps", "h2p", "--seed", "3"],
+    ["binary", "--p", "0.1", "--eps", "h2p", "--workers", "2"],
+    ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--seed", "3"],
+    ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--workers", "2"],
+    ["simulate", "--config", "sim.json", "--seed", "3"],
+    ["simulate", "--config", "sim.json", "--format", "json"],
+    ["reproduce", "table3", "--seed", "3"],
+    ["reproduce", "table3", "--workers", "2"],
+    ["reproduce", "table3", "--format", "json"],
+])
+def test_unread_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReproduceCommand:

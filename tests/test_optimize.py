@@ -358,6 +358,19 @@ class TestConvexify:
         with pytest.raises(ValidationError):
             convexify([])
 
+    def test_hull_failure_propagates(self, monkeypatch):
+        # a failing hull is an error, not a silent "every point is extreme"
+        import scipy.spatial
+
+        def broken_hull(coords):
+            raise RuntimeError("hull failed")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", broken_hull)
+        pts = [RegionPoint(float(a), float(b), float(c), float(dd))
+               for a, b, c, dd in np.random.default_rng(3).random((20, 4))]
+        with pytest.raises(RuntimeError, match="hull failed"):
+            convexify(pts)
+
 
 class TestFrontierResult:
     def test_sorted_enforced(self):

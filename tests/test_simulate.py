@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rdeq import BudgetError, Channel, DistortionMeasure, ValidationError, h2
+from _oracles import (
+    oracle_decode,
+    oracle_first_refinement,
+    oracle_first_typical,
+)
+from rdeq import BudgetError, Channel, DistortionMeasure, ValidationError, h2, simulate
 from rdeq.probability import make_bec_bsc_source, JointSource
 from rdeq.regions import AuxiliarySystem, binary_wyner_ziv_point
 from rdeq.simulate import (
@@ -265,6 +270,122 @@ class TestDecoding:
         inst = generate_codebooks(src, degenerate_system(), cfg)
         with pytest.raises(ValidationError):
             inst.decode_bob((5, 0), 0)
+
+
+def two_layer_code():
+    """n = 8 code with several v-codewords per u-codeword and bins of several
+    members in all three layers."""
+    src = make_bec_bsc_source(0.1, h2(0.1))
+    sys = AuxiliarySystem(Channel.bsc(0.2), Channel.bsc(0.1), Channel(SWEEP_W), SWEEP_RECON)
+    cfg = CodeConfig(n=8, r1=0.3, r2=0.2, rc_link=0.6, s1=0.5, s2=0.4, sc=0.9,
+                     delta_n=0.16, seed=3)
+    return src, generate_codebooks(src, sys, cfg)
+
+
+def source_rows(src, n, m, seed):
+    """(a^n, c^n) rows of m i.i.d. source draws."""
+    _, nc, ne = src.alphabet_sizes
+    draw = np.random.default_rng(seed).choice(src.probs.size, size=(m, n), p=src.probs.ravel())
+    return draw // (nc * ne), (draw // ne) % nc
+
+
+def with_fallback(idx, failed):
+    return np.where(failed, -1, idx).tolist()
+
+
+class TestCodewordSearch:
+    """Block scans and the decoder against one-pair-at-a-time oracles."""
+
+    # more open rows than one block holds, down to one-codeword blocks
+    @pytest.mark.parametrize("pairs,m", [(1, 40), (7, 300), (simulate._PAIRS, simulate._PAIRS + 200)])
+    def test_encoder_stages_match_oracle(self, monkeypatch, pairs, m):
+        monkeypatch.setattr(simulate, "_PAIRS", pairs)
+        src, inst = two_layer_code()
+        delta = inst.config.delta
+        a, c = source_rows(src, 8, m, seed=5)
+        s1, f_u = inst._alice_stage1(a)
+        want = oracle_first_typical(inst.u_cb.tolist(), a.tolist(),
+                                    inst._dist["p_ua"].tolist(), delta)
+        assert with_fallback(s1, f_u) == want
+        s2, f_v = inst._alice_stage2(a, s1)
+        want = oracle_first_refinement(inst.u_cb[s1].tolist(), inst.v_cb[s1].tolist(),
+                                       a.tolist(), inst._dist["p_va_given_u"].tolist(), delta)
+        assert with_fallback(s2, f_v) == want
+        s, f_w = inst._charlie_stage(c)
+        want = oracle_first_typical(inst.w_cb.tolist(), c.tolist(),
+                                    inst._dist["p_wc"].tolist(), delta)
+        assert with_fallback(s, f_w) == want
+        # rows with and without a typical codeword in every stage
+        for failed in (f_u, f_v, f_w):
+            assert 0 < failed.sum() < m
+
+    def test_single_sequence_encoders_match_oracle(self):
+        src, inst = two_layer_code()
+        delta = inst.config.delta
+        a, c = source_rows(src, 8, 30, seed=6)
+        for a_n, c_n in zip(a, c):
+            enc = inst.encode_alice(a_n)
+            (s1,) = oracle_first_typical(inst.u_cb.tolist(), [a_n.tolist()],
+                                         inst._dist["p_ua"].tolist(), delta)
+            (s2,) = oracle_first_refinement([inst.u_cb[max(s1, 0)].tolist()],
+                                            [inst.v_cb[max(s1, 0)].tolist()], [a_n.tolist()],
+                                            inst._dist["p_va_given_u"].tolist(), delta)
+            assert (enc.s1, enc.failed_u, enc.s2, enc.failed_v) == (
+                max(s1, 0), s1 < 0, max(s2, 0), s2 < 0)
+            ch = inst.encode_charlie(c_n)
+            (s,) = oracle_first_typical(inst.w_cb.tolist(), [c_n.tolist()],
+                                        inst._dist["p_wc"].tolist(), delta)
+            assert (ch.s, ch.failed, ch.r) == (max(s, 0), s < 0, max(s, 0) % inst.config.bins_w)
+
+    def test_single_sequence_charlie_scans_in_blocks(self, monkeypatch):
+        # criterion 8's n = 14 code: a sequence with no typical helper codeword
+        # walks all 21,709 codewords in ceil(21,709 / _PAIRS) typicality calls
+        src = make_bec_bsc_source(SWEEP_P, h2(SWEEP_P))
+        sys = wz_system(SWEEP_ALPHA, SWEEP_W, SWEEP_RECON)
+        inst = generate_codebooks(src, sys, sweep_config(14))
+        calls = []
+
+        def counted(seqs, probs, delta):
+            calls.append(len(seqs))
+            return typical_rows(seqs, probs, delta)
+
+        monkeypatch.setattr(simulate, "typical_rows", counted)
+        c_n = np.zeros(14, dtype=int)
+        enc = inst.encode_charlie(c_n)
+        (want,) = oracle_first_typical(inst.w_cb.tolist(), [c_n.tolist()],
+                                       inst._dist["p_wc"].tolist(), inst.config.delta)
+        assert want == -1 and enc.failed and enc.s == 0
+        assert inst.config.num_w == 21_709
+        assert len(calls) == math.ceil(21_709 / simulate._PAIRS)
+        assert sum(calls) == 21_709
+
+    def test_decoder_matches_triple_loop(self):
+        # the multi-candidate toy of the ambiguity test above, at n = 8
+        src = JointSource.from_channels(np.array([0.5, 0.5]), Channel.bsc(0.2), Channel.bsc(0.25))
+        sys = AuxiliarySystem(Channel.identity(2), Channel.bsc(0.11), Channel.bsc(0.1),
+                              np.array([[0, 0], [1, 1]]))
+        cfg = CodeConfig(n=8, r1=0.37, r2=0.0, rc_link=0.65, s1=0.62, s2=0.0, sc=0.65,
+                         delta_n=0.14, seed=7)
+        counts = []
+        for inst in (generate_codebooks(src, sys, cfg), two_layer_code()[1]):
+            cfg = inst.config
+            books = inst.u_cb.tolist(), inst.v_cb.tolist(), inst.w_cb.tolist()
+            p_uvw = inst._dist["p_uvw"].tolist()
+            for r1 in range(cfg.bins_u):
+                for r2 in range(cfg.bins_v):
+                    for k in range(cfg.bins_w):
+                        res = inst.decode_bob((r1, r2), k)
+                        count, (s1, s2, s) = oracle_decode(
+                            *books, list(range(r1, cfg.num_u, cfg.bins_u)),
+                            list(range(r2, cfg.num_v, cfg.bins_v)),
+                            list(range(k, cfg.num_w, cfg.bins_w)), p_uvw, cfg.delta)
+                        assert (res.n_matches, res.s1, res.s2, res.s) == (count, s1, s2, s)
+                        assert res.success == (count == 1)
+                        assert res.a_hat.tolist() == inst.system.reconstruction[
+                            inst.v_cb[s1, s2], inst.w_cb[s]].tolist()
+                        counts.append(count)
+        # no match, one match and several matches all occur
+        assert 0 in counts and 1 in counts and max(counts) > 1
 
 
 class TestExactEquivocation:
