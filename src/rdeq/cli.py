@@ -214,7 +214,10 @@ def _entry(spec, key: str):
 
 def _load_sim_config(path: str):
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"simulate config {path} is not valid JSON: {err}") from None
     src_spec = _entry(obj, "source")
     if "bec_bsc" in src_spec:
         p = float(_entry(src_spec["bec_bsc"], "p"))

@@ -7,8 +7,10 @@ Three search engines trace region frontiers:
 * ``generic_inner_frontier`` / ``lossless_frontier`` -- random multi-start
   coordinate ascent over channel rows for arbitrary discrete sources, under
   the stated cardinality caps.  Results are lower bounds on the true frontier.
-* ``brute_force_oracle`` -- exhaustive enumeration of channels with rows on a
-  simplex grid; exact within grid resolution, used to validate the ascent.
+* ``brute_force_oracle`` -- exhaustive search over channels with rows on a
+  simplex grid, for any alphabet sizes: one channel per output relabeling,
+  the bounds factored along the Markov chain and W columns pruned by an upper
+  bound; exact in float64 within grid resolution, used to validate the ascent.
 
 All searches are deterministic for a fixed seed, independent of worker count:
 work is split into fixed-size shards and reduced with a stable tie-break
@@ -198,10 +200,14 @@ class FrontierResult:
 # ---------------------------------------------------------------------------
 
 def parallel_map(fn, items, workers: int = 1):
-    """Ordered map; results are identical for any worker count."""
-    if workers <= 1:
+    """Ordered map; results are identical for any worker count.
+
+    Runs in this process when there is one worker or at most one item.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=1))
 
 
@@ -422,12 +428,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-@dataclass
-class _Candidate:
-    channels: list[np.ndarray]  # search channels, row-stochastic
-
-    def key(self) -> bytes:
-        return b"".join(np.round(ch, 12).tobytes() for ch in self.channels)
+def _key(channels) -> bytes:
+    """Tie-break key of a set of search channels: their bytes, rounded to 12 digits."""
+    return b"".join(np.round(ch, 12).tobytes() for ch in channels)
 
 
 def _system_bounds(source: JointSource, d: DistortionMeasure, uv, va, wc
@@ -453,6 +456,14 @@ def _violation(bounds: InnerBounds, cons: RegionConstraints) -> float:
     return v
 
 
+def _capped(delta_max, delta_minus_rc_max, cons: RegionConstraints):
+    """Largest Delta the two Delta bounds allow under the helper-rate cap
+    max_r_c; works on floats and, elementwise, on arrays."""
+    if math.isfinite(cons.max_r_c):
+        return np.minimum(delta_max, cons.max_r_c + delta_minus_rc_max)
+    return delta_max
+
+
 def _score(bounds: InnerBounds, constraints: RegionConstraints) -> float:
     """The objective of one system's bounds under one constraint set.
 
@@ -463,10 +474,7 @@ def _score(bounds: InnerBounds, constraints: RegionConstraints) -> float:
     violation = _violation(bounds, constraints)
     if violation > SLACK:
         return _INFEASIBLE_BASE - violation
-    delta = bounds.delta_max
-    if math.isfinite(constraints.max_r_c):
-        delta = min(delta, constraints.max_r_c + bounds.delta_minus_rc_max)
-    return max(0.0, delta)
+    return max(0.0, float(_capped(bounds.delta_max, bounds.delta_minus_rc_max, constraints)))
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
@@ -561,7 +569,7 @@ def _generic_start_worker(args):
         return _score(_system_bounds(source, d, uv, va, wc)[0], cons)
 
     val, chans = _ascend(eval_fn, chans, rng)
-    return val, _Candidate(chans).key(), [c.copy() for c in chans]
+    return val, _key(chans), [c.copy() for c in chans]
 
 
 def _lossless_start_worker(args):
@@ -585,7 +593,7 @@ def _lossless_start_worker(args):
         return max(0.0, b.delta_max)
 
     val, chans = _ascend(eval_fn, chans, rng)
-    return val, _Candidate(chans).key(), [c.copy() for c in chans]
+    return val, _key(chans), [c.copy() for c in chans]
 
 
 def _start_channels(rng, shapes, structured_idx: int | None):
@@ -761,54 +769,183 @@ def lossless_frontier(
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
+#
+# The search space is every (p(u|v), p(v|a), p(w|c)) with rows on the
+# step-1/m simplex grid.  The six bounds are invariant under relabeling the
+# outputs of U, V or W (the reconstruction is re-optimized), so each channel
+# grid keeps one channel per relabeling: the one with columns in
+# non-decreasing lexicographic order.
+#
+# Along the chain U - V - A - C - W (and A - E) every term but H(W|U) depends
+# on (p(v|a), p(w|c)) or on (p(v|a), p(u|v)) alone:
+#   R_A = H(V,W) - H(W) - H(V|A),   R_C = H(V,W) - H(V) - H(W|C),
+#   R_A + R_C = H(V,W) - H(V|A) - H(W|C),
+#   Delta = H(A|V,W) + [H(W|U) - H(W|A)]^+ - I(A;E|U),
+#   Delta - R_C = H(A|V) - R_C - I(A;E|U),  I(A;E|U) = [H(E|U) - H(E|A)]^+.
+# A shard computes the (V, W) terms of a slice of V channels at once, the
+# (V, U) terms per V channel, and H(W|U) only for the W columns that can
+# still beat the shard's running best.  As H(W|U) <= H(W), a column's Delta
+# is at most H(A|V,W) + [H(W) - H(W|A)]^+ + g (capped like Delta with
+# Delta - R_C <= H(A|V) - R_C + g), for g = 0, as I(A;E|U) >= 0, before any
+# U work, then for g = the largest -I(A;E|U) over the U grid.  A column is
+# dropped when that bound plus _PRUNE_MARGIN is below the running best,
+# which comes earlier in the shard and so also wins a tie.
+#
+# Each value is formed elementwise by the same float64 ufunc steps whatever
+# block it sits in (see _block_entropy), so neither column batching nor pruning
+# moves a value: the winner is the largest value, ties going to the smallest
+# (V, U, W) grid index, and is re-evaluated through _system_bounds.
 
-def _simplex_grid(k: int, m: int) -> np.ndarray:
-    """All length-k probability vectors with entries on the grid {0, 1/m, ..., 1}."""
-    out = []
-    for comp in itertools.combinations_with_replacement(range(k), m):
-        v = np.bincount(comp, minlength=k) / m
-        out.append(v)
-    return np.array(sorted(map(tuple, out)))
+_ORACLE_BUDGET = 6_000_000_000  # default refusal size, in systems of the quotient grid
+_ORACLE_CHUNK = 64  # most V channels per shard; results never depend on the worker count
+_BLOCK = 1 << 18  # most (V, W) or (U, W) entries per block, unless one W or U grid is larger
+_PRUNE_MARGIN = 1e-9  # covers float64 rounding between a column's bound and its values
 
 
-def _h2_table(resolution: int = 1 << 16) -> tuple[np.ndarray, int]:
-    xs = np.linspace(0.0, 1.0, resolution + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -(xs * np.log2(xs) + (1 - xs) * np.log2(1 - xs))
-    t[0] = 0.0
-    t[-1] = 0.0
-    return t.astype(np.float32), resolution
+def _channel_grid(n_in: int, k: int, m: int) -> np.ndarray:
+    """Every n_in x k channel with rows on the step-1/m simplex grid whose
+    columns are in non-decreasing lexicographic order (one per output
+    relabeling), in lexicographic order of its rows; shape (N, n_in, k).
 
-
-_H2_TAB, _H2_RES = _h2_table()
-
-
-def _h2_lookup(x: np.ndarray) -> np.ndarray:
-    """Vectorized h2 via table interpolation.
-
-    The worst absolute error, measured on dense and near-0/1 samples, is
-    8.1e-6.  h2 is concave, so the linear interpolant lies below it: the
-    lookup can exceed the true value only through float32 rounding of the
-    table and of the interpolation, at most a few float32 ulps (1.3e-7
-    measured).
+    Built one row at a time: a channel's columns are sorted only if those
+    of each leading block of rows are, so unsorted prefixes are dropped early.
     """
-    pos = np.clip(x, 0.0, 1.0) * _H2_RES
-    idx = np.minimum(pos.astype(np.int32), _H2_RES - 1)
-    frac = (pos - idx).astype(np.float32)
-    return _H2_TAB[idx] * (1.0 - frac) + _H2_TAB[idx + 1] * frac
+    rows = np.array(sorted(
+        tuple(np.bincount(comp, minlength=k))
+        for comp in itertools.combinations_with_replacement(range(k), m)
+    ))
+    grid = np.zeros((1, 0, k), dtype=np.int64)
+    for _ in range(n_in):
+        grid = np.concatenate([
+            np.repeat(grid, len(rows), axis=0),
+            np.tile(rows, (len(grid), 1))[:, None, :],
+        ], axis=1)
+        step = np.diff(grid, axis=2)  # column j+1 minus column j, per row
+        first = np.argmax(step != 0, axis=1)  # the first row where they differ
+        grid = grid[(np.take_along_axis(step, first[:, None, :], axis=1) >= 0).all(axis=(1, 2))]
+    return grid / m
 
 
-def brute_force_grid_size(caps: tuple[int, int, int], step: float, na: int, nc: int,
-                          fixed_w: bool = False) -> int:
-    m = max(1, round(1.0 / step))
+def _partitions(k: int, largest: int):
+    """Partitions of k into parts of at most ``largest``, largest part first."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
 
-    def rows_count(k):
-        return math.comb(m + k - 1, k - 1)
-    cu, cv, cw = caps
-    n_uv = rows_count(cu) ** cv
-    n_va = rows_count(cv) ** na
-    n_wc = 1 if fixed_w else rows_count(cw) ** nc
-    return n_uv * n_va * n_wc
+
+def _channel_count(n_in: int, k: int, m: int) -> int:
+    """``len(_channel_grid(n_in, k, m))``, without building the grid.
+
+    The grid holds one channel per orbit of the column permutations, so by
+    Burnside's lemma its size is the mean, over the k! permutations, of the
+    channels each one fixes.  A permutation with cycle lengths l_1..l_r fixes
+    the channels whose rows are constant on its cycles, ways^n_in of them,
+    with ``ways`` the number of solutions of sum_i l_i x_i = m in
+    non-negative integers; k! / prod_l (l^c_l c_l!) permutations have those
+    cycle lengths (c_l cycles of length l).
+    """
+    total = 0
+    for cycles in _partitions(k, k):
+        ways = [1] + [0] * m
+        for length in cycles:
+            for x in range(length, m + 1):
+                ways[x] += ways[x - length]
+        z = 1
+        for length in set(cycles):
+            c = cycles.count(length)
+            z *= length ** c * math.factorial(c)
+        total += ways[m] ** n_in * (math.factorial(k) // z)
+    return total // math.factorial(k)
+
+
+def _block_entropy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Entropy of each (i, j) joint p[r, s] = sum_a x[i, a, r] y[j, a, s], as
+    an (I, J) array.
+
+    Each entry of p is a chain of separately rounded ufunc steps, so its value
+    does not depend on I, J or its place in the block.  An identity block
+    np.eye(n)[None] as x or y keeps the summed axis in the joint, giving e.g.
+    H(A, W); a diagonal block also weights it.
+    """
+    h = 0.0
+    for r in range(x.shape[2]):
+        for s in range(y.shape[2]):
+            p = x[:, 0, r, None] * y[None, :, 0, s]
+            for a in range(1, x.shape[1]):
+                p += x[:, a, r, None] * y[None, :, a, s]
+            logp = np.zeros_like(p)
+            np.log2(p, out=logp, where=p > 0.0)
+            h = h - p * logp
+    return h
+
+
+def _oracle_shard(args):
+    """Best (value, (V, U, W) grid indices) per constraint over one slice of V channels."""
+    lo, va, uv, wc, source, d, cons_list = args
+    pa, pc = source.p_a(), source.p_c()
+    pa_col = pa[None, :, None]
+    h_a = entropy_unchecked(pa)
+    h_e_a = entropy_unchecked(source.p_ae()) - h_a
+
+    # W terms, then (V, W) terms of the whole slice
+    q = np.einsum("ac,ncw->naw", source.p_ac(), wc)  # p(a, w) per W channel
+    h_w = _block_entropy(np.ones((1, len(pa), 1)), q)[0]
+    h_w_a = _block_entropy(np.eye(len(pa))[None], q)[0] - h_a
+    h_w_c = _block_entropy(np.diag(pc)[None], wc)[0] - entropy_unchecked(pc)
+    h_v = _block_entropy(va, pa_col)[:, 0]
+    h_v_a = _block_entropy(va, np.diag(pa)[None])[:, 0] - h_a
+    h_vw = _block_entropy(va, q)
+    costs = np.einsum("sav,naw,ab->snvwb", va, q, d.table)  # per (v, w) and reconstruction b
+    d_min = costs.min(axis=4).sum(axis=(2, 3))
+    r_a = np.maximum(h_vw - h_w - h_v_a[:, None], 0.0)
+    r_c = np.maximum(h_vw - h_v[:, None] - h_w_c, 0.0)
+    r_sum = np.maximum(h_vw - h_v_a[:, None] - h_w_c, 0.0)
+    x = h_v_a[:, None] + (h_w_a + h_a) - h_vw  # H(A|V,W)
+    y = (h_a + h_v_a - h_v)[:, None] - r_c  # H(A|V) - R_C
+    feasible = [  # the violation of _violation, against the SLACK of _score
+        np.maximum(d_min - c.max_d, 0.0) + np.maximum(r_a - c.max_r_a, 0.0)
+        + np.maximum(r_c - c.max_r_c, 0.0) + np.maximum(r_sum - c.max_r_a - c.max_r_c, 0.0)
+        <= SLACK
+        for c in cons_list
+    ]
+    # each column's objective bound for g = 0; a g shifts it by g
+    ub = [_capped(x + np.maximum(h_w - h_w_a, 0.0), y, c) for c in cons_list]
+    best = [None] * len(cons_list)
+
+    def survivors(s: int, g: float):
+        """Per constraint, the W columns of V channel s whose bound, with
+        g >= -I(A;E|U) over the U grid, can still beat the running best."""
+        keep = [feas[s] if b is None else feas[s] & (u[s] + g + _PRUNE_MARGIN >= b[0])
+                for feas, u, b in zip(feasible, ub, best)]
+        return keep, np.nonzero(np.logical_or.reduce(keep))[0]
+
+    step = max(1, _BLOCK // len(uv))
+    for s in range(len(va)):
+        keep, cols = survivors(s, 0.0)
+        if cols.size == 0:
+            continue
+        # (V, U) terms over the U grid: p(u|a), H(U) and I(A;E|U)
+        pu_a = np.einsum("av,jvu->jau", va[s], uv)
+        h_u = _block_entropy(pu_a, pa_col)[:, 0]
+        i_ae = np.maximum(_block_entropy(pu_a, source.p_ae()[None])[:, 0] - h_u - h_e_a, 0.0)
+        keep, cols = survivors(s, float(-i_ae.min()))
+        for j in range(0, cols.size, step):
+            ws = cols[j:j + step]
+            h_w_u = _block_entropy(pu_a, q[ws]) - h_u[:, None]
+            eq5 = x[s, ws] + np.maximum(h_w_u - h_w_a[ws], 0.0) - i_ae[:, None]
+            eq6 = y[s, ws] - i_ae[:, None]
+            for ci, c in enumerate(cons_list):
+                sub = keep[ci][ws]
+                if not sub.any():
+                    continue
+                val = np.where(sub, np.maximum(_capped(eq5, eq6, c), 0.0), -np.inf)
+                ui, wi = np.unravel_index(int(np.argmax(val)), val.shape)
+                cand = (float(val[ui, wi]), (lo + s, int(ui), int(ws[wi])))
+                if _better(cand, best[ci]):
+                    best[ci] = cand
+    return best
 
 
 def brute_force_oracle(
@@ -824,399 +961,68 @@ def brute_force_oracle(
 ) -> FrontierResult:
     """Exhaustive grid search over channels; exact within grid resolution.
 
-    For binary alphabets the enumeration is vectorized and reduced by output
-    relabeling symmetry (the six bound values are invariant under relabeling
-    U, V or W, with the reconstruction re-optimized), which cuts the grid by
-    ~8x without excluding any equivalence class.  Other alphabets fall back
-    to direct enumeration and are only viable for tiny grids.
+    Every row of p(u|v), p(v|a) and p(w|c) ranges over the simplex grid of
+    step ``grid_step``, keeping one channel per output relabeling, which
+    excludes no equivalence class; a fixed W channel is a W grid of one
+    channel.  Any alphabet sizes work.  ``provenance["grid_sizes"]`` holds
+    the V, U and W grid sizes; a grid of more than ``budget`` systems (their
+    product) is refused with ``BudgetError``.
     """
-    na, nc, _ = source.alphabet_sizes
-    cu, cv, cw = caps
-    binary_fast = (
-        na == 2 and cv == 2 and cu == 2
-        and (fixed_w_given_c is not None or (nc == 2 and cw == 2))
-        and d.table.shape == (2, 2)
-    )
-    if binary_fast:
-        m = max(1, round(1.0 / grid_step))
-        n_half = (m // 2 + 1) * (m + 1)  # relabel-reduced pairs per channel
-        size = n_half * n_half * (1 if fixed_w_given_c is not None else n_half)
-    else:
-        size = brute_force_grid_size(caps, grid_step, na, nc, fixed_w=fixed_w_given_c is not None)
-    default_budget = 6_000_000_000 if binary_fast else 300_000
-    budget = default_budget if budget is None else budget
-    if size > budget:
-        raise BudgetError(
-            f"grid has {size} channel combinations, above the budget of {budget}; "
-            "increase the step or the budget"
-        )
-    if binary_fast:
-        return _oracle_binary(source, d, grid_step, constraints, fixed_w_given_c, workers)
-    return _oracle_generic(source, d, caps, grid_step, constraints, fixed_w_given_c, workers)
-
-
-def _oracle_generic_shard(args):
-    """Best (value, key, uv, va, wc, bounds) per constraint, over one U channel.
-
-    Each system's bounds are computed once and scored under every constraint.
-    """
-    source, d, uv, va_list, wc_list, cons_list = args
-    best = [None] * len(cons_list)
-    for va in va_list:
-        for wc in wc_list:
-            bounds, _ = _system_bounds(source, d, uv, va, wc)
-            key = (uv.tobytes(), va.tobytes(), wc.tobytes())
-            for ci, cons in enumerate(cons_list):
-                cand = (_score(bounds, cons), key, uv, va, wc, bounds)
-                if _better(cand, best[ci]):
-                    best[ci] = cand
-    return best
-
-
-def _oracle_generic(source, d, caps, grid_step, constraints, fixed_w, workers=1):
     na, nc, _ = source.alphabet_sizes
     cu, cv, cw = caps
     m = max(1, round(1.0 / grid_step))
-
-    def channels(k, n_in):
-        return [np.array(rows) for rows in itertools.product(_simplex_grid(k, m), repeat=n_in)]
-
-    va_list = channels(cv, na)
-    wc_list = [np.asarray(fixed_w.rows)] if fixed_w is not None else channels(cw, nc)
+    fixed = fixed_w_given_c is not None
+    if fixed and fixed_w_given_c.input_size != nc:
+        raise ValidationError("fixed_w_given_c input size must match |C|")
+    sizes = [_channel_count(na, cv, m), _channel_count(cv, cu, m),
+             1 if fixed else _channel_count(nc, cw, m)]
+    budget = _ORACLE_BUDGET if budget is None else budget
+    if math.prod(sizes) > budget:
+        raise BudgetError(
+            f"grid has {math.prod(sizes)} channel combinations, above the budget of {budget}; "
+            "increase the step or the budget"
+        )
+    grids = (
+        _channel_grid(na, cv, m),
+        _channel_grid(cv, cu, m),
+        np.asarray(fixed_w_given_c.rows)[None] if fixed else _channel_grid(nc, cw, m),
+    )
     cons_list = list(constraints)
-    shards = [(source, d, uv, va_list, wc_list, cons_list) for uv in channels(cu, cv)]
-    shard_bests = parallel_map(_oracle_generic_shard, shards, workers)
+    chunk = min(_ORACLE_CHUNK, max(1, _BLOCK // len(grids[2])))
+    shards = [(lo, grids[0][lo:lo + chunk], grids[1], grids[2], source, d, cons_list)
+              for lo in range(0, len(grids[0]), chunk)]
+    shard_bests = parallel_map(_oracle_shard, shards, workers)
     points = [
-        _oracle_point(_best(sb[ci] for sb in shard_bests), ci, cons)
+        _oracle_point(source, d, grids, _best(sb[ci] for sb in shard_bests), ci, cons)
         for ci, cons in enumerate(cons_list)
     ]
     return FrontierResult(
         tuple(points),
-        provenance={"method": "exhaustive", "step": grid_step, "caps": list(caps)},
+        provenance={"method": "exhaustive", "step": 1.0 / m, "caps": list(caps),
+                    "grid_sizes": sizes},
     )
 
 
-def _oracle_point(best, idx, cons) -> FrontierPoint:
-    if best is None or best[0] <= _INFEASIBLE_BASE / 2:
+def _oracle_point(source, d, grids, best, idx, cons) -> FrontierPoint:
+    """One constraint's winner, re-evaluated through ``_system_bounds``."""
+    if best is None:
         return FrontierPoint(sweep=float(idx), feasible=False, point=None, params={})
-    val, _, uv, va, wc, bounds = best
+    val, (vi, ui, wi) = best
+    va, uv, wc = grids[0][vi], grids[1][ui], grids[2][wi]
+    bounds, recon = _system_bounds(source, d, uv, va, wc)
+    delta = _score(bounds, cons)
+    if abs(delta - val) > 1e-9:
+        raise RuntimeError("oracle result failed re-validation")
     return FrontierPoint(
         sweep=float(idx),
         feasible=True,
-        point=_assemble_point(bounds, val, cons),
-        params={"u_given_v": uv.tolist(), "v_given_a": va.tolist(), "w_given_c": wc.tolist()},
-    )
-
-
-# -- vectorized binary path --------------------------------------------------
-#
-# For binary U, V, A (and either binary grid-searched W or a fixed W channel
-# of any size) every bound value reduces to combinations of binary entropies
-# of composed crossover probabilities, so the full grid can be swept with
-# vectorized table lookups.  The search space is quotiented by the output
-# relabelings of U, V and W (first row entry restricted to [0, 1/2]), which
-# leaves exactly one representative per equivalence class.  The winning
-# combination is re-evaluated in float64 through the exact evaluator before
-# being reported.
-#
-# Within a shard, W columns that cannot beat the shard's running best are
-# dropped before the |U| x |W| product is built.  Since H(W|U) <= H(W), a
-# column's eq5 and eq6 terms are, over every U channel, at most
-#   ub5 = x + H(W) - H(W|A) + max_u g,   ub6 = y + max_u g,
-# with g = H(E|A) - H(E|U), so its objective is at most min(ub5, max_r_c +
-# ub6), or ub5 when max_r_c is infinite.  A column is dropped only when that
-# bound plus _PRUNE_MARGIN is strictly below the running best, so a dropped
-# column is strictly worse than the shard's winner: the winner and its
-# tie-break are unchanged.
-
-_ORACLE_CHUNK = 64  # va rows per shard; fixed so results are worker-count independent
-
-# Slack added to a column's upper bound before pruning.  It covers the
-# lookup's overestimate of h2 (a few float32 ulps, see _h2_lookup) and the
-# float64 rounding of the bound's sums, with a wide margin.
-_PRUNE_MARGIN = 1e-6
-
-
-def _half_full_grid(m: int) -> np.ndarray:
-    """(x0, x1) pairs with x0 restricted to [0, 1/2] by relabel symmetry."""
-    vals = np.linspace(0.0, 1.0, m + 1)
-    half = vals[vals <= 0.5 + 1e-12]
-    g0, g1 = np.meshgrid(half, vals, indexing="ij")
-    return np.column_stack([g0.ravel(), g1.ravel()])
-
-
-def _h2_scalar(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
-def _rows_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a (n, k) matrix of distributions."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -t.sum(axis=-1)
-
-
-def _binary_oracle_tables(source: JointSource, fixed_w: Channel | None):
-    pa = source.p_a()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pc_a = source.p_ac() / pa[:, None]
-        pe_a = source.p_ae() / pa[:, None]
-    h_a = entropy_unchecked(pa)
-    h_e_a = float(pa[0] * _h2_scalar(pe_a[0, 0]) + pa[1] * _h2_scalar(pe_a[1, 0]))
-    tables = {
-        "pa": pa, "pc_a": pc_a, "pe_a0": pe_a[:, 0], "h_a": h_a, "h_e_a": h_e_a,
-    }
-    if fixed_w is not None:
-        pw_a = pc_a @ fixed_w.rows
-        pc = source.p_c()
-        h_w_c = float(np.dot(pc, _rows_entropy(fixed_w.rows)))
-        h_w_a = float(np.dot(pa, _rows_entropy(pw_a)))
-        tables.update({"pw_a": pw_a, "h_w_c": h_w_c, "h_w_a": h_w_a})
-    return tables
-
-
-def _binary_va_stats(x0, x1, tables):
-    """Scalar helpers for one V channel row pair (p(v=0|a=0), p(v=0|a=1))."""
-    pa = tables["pa"]
-    pv0 = pa[0] * x0 + pa[1] * x1
-    return {
-        "pv0": pv0,
-        "h_v": _h2_scalar(pv0),
-        "h_v_a": pa[0] * _h2_scalar(x0) + pa[1] * _h2_scalar(x1),
-        "pa0_v0": pa[0] * x0 / pv0 if pv0 > 0 else 0.0,
-        "pa0_v1": pa[0] * (1 - x0) / (1 - pv0) if pv0 < 1 else 0.0,
-    }
-
-
-def _binary_uv_stats(uv_grid, va, tables):
-    """Vector helpers over the U-channel grid for one V channel."""
-    pa = tables["pa"]
-    pe_a0 = tables["pe_a0"]
-    z0, z1 = uv_grid[:, 0], uv_grid[:, 1]
-    x0, x1, pv0 = va["x0"], va["x1"], va["pv0"]
-    pu0 = pv0 * z0 + (1 - pv0) * z1
-    pau0 = pa[0] * (x0 * z0 + (1 - x0) * z1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pa_u0 = np.where(pu0 > 0, pau0 / np.where(pu0 > 0, pu0, 1.0), 0.0)
-        pa_u1 = np.where(pu0 < 1, (pa[0] - pau0) / np.where(pu0 < 1, 1.0 - pu0, 1.0), 0.0)
-    pe_u0 = pa_u0 * pe_a0[0] + (1 - pa_u0) * pe_a0[1]
-    pe_u1 = pa_u1 * pe_a0[0] + (1 - pa_u1) * pe_a0[1]
-    h_e_u = pu0 * _h2_lookup(pe_u0) + (1 - pu0) * _h2_lookup(pe_u1)
-    return {"pu0": pu0, "pa_u0": pa_u0, "pa_u1": pa_u1, "h_e_u": h_e_u}
-
-
-def _binary_w_grid_stats(va, wc_grid, tables, d_tab):
-    """Per-wc vectors of the U-free bound ingredients (binary W grid)."""
-    pa, pc_a, h_a = tables["pa"], tables["pc_a"], tables["h_a"]
-    x0, x1 = va["x0"], va["x1"]
-    pv0, h_v, h_v_a = va["pv0"], va["h_v"], va["h_v_a"]
-    y0, y1 = wc_grid[:, 0], wc_grid[:, 1]
-    pw0_a0 = pc_a[0, 0] * y0 + pc_a[0, 1] * y1
-    pw0_a1 = pc_a[1, 0] * y0 + pc_a[1, 1] * y1
-    pw0 = pa[0] * pw0_a0 + pa[1] * pw0_a1
-    pc0 = pa[0] * pc_a[0, 0] + pa[1] * pc_a[1, 0]
-    h_w_c = pc0 * _h2_lookup(y0) + (1 - pc0) * _h2_lookup(y1)
-    h_w_a = pa[0] * _h2_lookup(pw0_a0) + pa[1] * _h2_lookup(pw0_a1)
-    pw0_v0 = va["pa0_v0"] * pw0_a0 + (1 - va["pa0_v0"]) * pw0_a1
-    pw0_v1 = va["pa0_v1"] * pw0_a0 + (1 - va["pa0_v1"]) * pw0_a1
-    h_w_v = pv0 * _h2_lookup(pw0_v0) + (1 - pv0) * _h2_lookup(pw0_v1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pa0_w0 = np.where(pw0 > 0, pa[0] * pw0_a0 / np.where(pw0 > 0, pw0, 1.0), 0.0)
-        pa0_w1 = np.where(pw0 < 1, pa[0] * (1 - pw0_a0) / np.where(pw0 < 1, 1 - pw0, 1.0), 0.0)
-    pv0_w0 = pa0_w0 * x0 + (1 - pa0_w0) * x1
-    pv0_w1 = pa0_w1 * x0 + (1 - pa0_w1) * x1
-    h_v_w = pw0 * _h2_lookup(pv0_w0) + (1 - pw0) * _h2_lookup(pv0_w1)
-
-    r_a = np.maximum(h_v_w - h_v_a, 0.0)
-    r_c = np.maximum(h_w_v - h_w_c, 0.0)
-    va_rows = np.array([[x0, 1 - x0], [x1, 1 - x1]])
-    d_min = np.zeros_like(pw0)
-    for v in range(2):
-        for w in range(2):
-            pw_cell_a0 = pw0_a0 if w == 0 else 1 - pw0_a0
-            pw_cell_a1 = pw0_a1 if w == 0 else 1 - pw0_a1
-            mass_a0 = pa[0] * va_rows[0, v] * pw_cell_a0
-            mass_a1 = pa[1] * va_rows[1, v] * pw_cell_a1
-            d_min += np.minimum(mass_a0 * d_tab[0, 0] + mass_a1 * d_tab[1, 0],
-                                mass_a0 * d_tab[0, 1] + mass_a1 * d_tab[1, 1])
-    return {
-        "r_a": r_a, "r_c": r_c,
-        "sum": np.maximum(h_v + h_w_v - h_v_a - h_w_c, 0.0),
-        "d": d_min,
-        "x": h_a + h_v_a + h_w_a - h_v - h_w_v,
-        "y": (h_a + h_v_a - h_v) - np.maximum(h_w_v - h_w_c, 0.0),
-        "h_w_a": h_w_a, "pw0_a": (pw0_a0, pw0_a1),
-        "h_w": _rows_entropy(np.column_stack([pw0, 1 - pw0])),
-    }
-
-
-def _binary_w_fixed_stats(va, tables, d_tab):
-    """Scalar bound ingredients when the W channel is held fixed (any |W|)."""
-    pa, h_a = tables["pa"], tables["h_a"]
-    pw_a, h_w_c, h_w_a = tables["pw_a"], tables["h_w_c"], tables["h_w_a"]
-    x0, x1 = va["x0"], va["x1"]
-    pv0, h_v, h_v_a = va["pv0"], va["h_v"], va["h_v_a"]
-    nw = pw_a.shape[1]
-    pw = pa @ pw_a
-    pw_v0 = va["pa0_v0"] * pw_a[0] + (1 - va["pa0_v0"]) * pw_a[1]
-    pw_v1 = va["pa0_v1"] * pw_a[0] + (1 - va["pa0_v1"]) * pw_a[1]
-    h_w_v = pv0 * float(_rows_entropy(pw_v0[None, :])[0]) + (1 - pv0) * float(
-        _rows_entropy(pw_v1[None, :])[0]
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pa0_w = np.where(pw > 0, pa[0] * pw_a[0] / np.where(pw > 0, pw, 1.0), 0.0)
-    pv0_w = pa0_w * x0 + (1 - pa0_w) * x1
-    h_v_w = float(np.dot(pw, [_h2_scalar(t) for t in pv0_w]))
-
-    r_c = max(h_w_v - h_w_c, 0.0)
-    va_rows = np.array([[x0, 1 - x0], [x1, 1 - x1]])
-    d_min = 0.0
-    for v in range(2):
-        for w in range(nw):
-            mass_a0 = pa[0] * va_rows[0, v] * pw_a[0, w]
-            mass_a1 = pa[1] * va_rows[1, v] * pw_a[1, w]
-            d_min += min(mass_a0 * d_tab[0, 0] + mass_a1 * d_tab[1, 0],
-                         mass_a0 * d_tab[0, 1] + mass_a1 * d_tab[1, 1])
-    return {
-        "r_a": np.array([max(h_v_w - h_v_a, 0.0)]),
-        "r_c": np.array([r_c]),
-        "sum": np.array([max(h_v + h_w_v - h_v_a - h_w_c, 0.0)]),
-        "d": np.array([d_min]),
-        "x": np.array([h_a + h_v_a + h_w_a - h_v - h_w_v]),
-        "y": np.array([(h_a + h_v_a - h_v) - r_c]),
-        "h_w_a": np.array([h_w_a]), "h_w": np.array([entropy_unchecked(pw)]),
-    }
-
-
-def _oracle_binary_shard(args):
-    """Best (value, (va, uv, wc) grid indices) per constraint, over one va slice."""
-    va_lo, va_hi, va_grid, uv_grid, wc_grid, tables, cons_list, d_tab = args
-    fixed = wc_grid is None
-    best = [None] * len(cons_list)
-    uvs = None
-    for va_idx in range(va_lo, va_hi):
-        x0, x1 = float(va_grid[va_idx, 0]), float(va_grid[va_idx, 1])
-        va = {"x0": x0, "x1": x1, **_binary_va_stats(x0, x1, tables)}
-        uvs = _binary_uv_stats(uv_grid, va, tables)
-        if fixed:
-            stats = _binary_w_fixed_stats(va, tables, d_tab)
-        else:
-            stats = _binary_w_grid_stats(va, wc_grid, tables, d_tab)
-        g = tables["h_e_a"] - uvs["h_e_u"]
-        g_max = float(g.max())
-        ub5 = stats["x"] + stats["h_w"] - stats["h_w_a"] + g_max
-        ub6 = stats["y"] + g_max
-
-        feas_cols = []
-        for c, b in zip(cons_list, best):
-            feas = (
-                (stats["r_a"] <= c.max_r_a + SLACK)
-                & (stats["r_c"] <= c.max_r_c + SLACK)
-                & (stats["sum"] <= c.max_r_a + c.max_r_c + SLACK)
-                & (stats["d"] <= c.max_d + SLACK)
-            )
-            if b is not None:
-                ub = np.minimum(ub5, c.max_r_c + ub6) if math.isfinite(c.max_r_c) else ub5
-                feas &= ub + _PRUNE_MARGIN >= b[0]
-            feas_cols.append(feas)
-        cols = np.nonzero(np.logical_or.reduce(feas_cols))[0]
-        if cols.size == 0:
-            continue
-
-        if fixed:
-            pw_a = tables["pw_a"]
-            pw_u0 = uvs["pa_u0"][:, None] * pw_a[0][None, :] + (1 - uvs["pa_u0"])[:, None] * pw_a[1][None, :]
-            pw_u1 = uvs["pa_u1"][:, None] * pw_a[0][None, :] + (1 - uvs["pa_u1"])[:, None] * pw_a[1][None, :]
-            h_w_u = uvs["pu0"] * _rows_entropy(pw_u0) + (1 - uvs["pu0"]) * _rows_entropy(pw_u1)
-            eq5 = stats["x"][cols][None, :] + (h_w_u - tables["h_w_a"] - uvs["h_e_u"] + tables["h_e_a"])[:, None]
-            eq6 = stats["y"][cols][None, :] + g[:, None]
-        else:
-            pw0_a0 = stats["pw0_a"][0][cols][None, :]
-            pw0_a1 = stats["pw0_a"][1][cols][None, :]
-            pa_u0 = uvs["pa_u0"][:, None]
-            pa_u1 = uvs["pa_u1"][:, None]
-            pwu0 = pa_u0 * pw0_a0 + (1 - pa_u0) * pw0_a1
-            pwu1 = pa_u1 * pw0_a0 + (1 - pa_u1) * pw0_a1
-            h_w_u = uvs["pu0"][:, None] * _h2_lookup(pwu0) + (1 - uvs["pu0"])[:, None] * _h2_lookup(pwu1)
-            h_w_a = stats["h_w_a"][cols][None, :]
-            eq5 = stats["x"][cols][None, :] + h_w_u - h_w_a + g[:, None]
-            eq6 = stats["y"][cols][None, :] + g[:, None]
-
-        for ci, cons in enumerate(cons_list):
-            sub = feas_cols[ci][cols]
-            if not sub.any():
-                continue
-            if math.isfinite(cons.max_r_c):
-                delta = np.minimum(eq5, cons.max_r_c + eq6)
-            else:
-                delta = eq5
-            delta = np.where(sub[None, :], delta, -np.inf)
-            flat = int(np.argmax(delta))
-            ui, wi = divmod(flat, cols.size)
-            cand = (float(delta[ui, wi]), (va_idx, int(ui), int(cols[wi])))
-            if _better(cand, best[ci]):
-                best[ci] = cand
-    return best
-
-
-def _oracle_binary(source, d, grid_step, constraints, fixed_w, workers):
-    m = max(1, round(1.0 / grid_step))
-    va_grid = _half_full_grid(m)
-    uv_grid = _half_full_grid(m)
-    wc_grid = None if fixed_w is not None else _half_full_grid(m)
-    tables = _binary_oracle_tables(source, fixed_w)
-    cons_list = list(constraints)
-    d_tab = d.table
-
-    shards = []
-    for lo in range(0, va_grid.shape[0], _ORACLE_CHUNK):
-        hi = min(lo + _ORACLE_CHUNK, va_grid.shape[0])
-        shards.append((lo, hi, va_grid, uv_grid, wc_grid, tables, cons_list, d_tab))
-    shard_bests = parallel_map(_oracle_binary_shard, shards, workers)
-
-    points = []
-    for ci, cons in enumerate(cons_list):
-        best = _best(sb[ci] for sb in shard_bests)
-        if best is None:
-            points.append(FrontierPoint(sweep=float(ci), feasible=False, point=None, params={}))
-            continue
-        _, (va_idx, uv_idx, wc_idx) = best
-        va_rows = np.array([
-            [va_grid[va_idx, 0], 1 - va_grid[va_idx, 0]],
-            [va_grid[va_idx, 1], 1 - va_grid[va_idx, 1]],
-        ])
-        uv_rows = np.array([
-            [uv_grid[uv_idx, 0], 1 - uv_grid[uv_idx, 0]],
-            [uv_grid[uv_idx, 1], 1 - uv_grid[uv_idx, 1]],
-        ])
-        wc_rows = (
-            fixed_w.rows if fixed_w is not None
-            else np.array([
-                [wc_grid[wc_idx, 0], 1 - wc_grid[wc_idx, 0]],
-                [wc_grid[wc_idx, 1], 1 - wc_grid[wc_idx, 1]],
-            ])
-        )
-        # exact re-evaluation of the winning grid point
-        bounds, recon = _system_bounds(source, d, uv_rows, va_rows, wc_rows)
-        val = max(0.0, _score(bounds, cons))
-        points.append(FrontierPoint(
-            sweep=float(ci),
-            feasible=True,
-            point=_assemble_point(bounds, val, cons),
-            params={
-                "u_given_v": uv_rows.tolist(),
-                "v_given_a": va_rows.tolist(),
-                "w_given_c": np.asarray(wc_rows).tolist(),
-                "reconstruction": recon.tolist(),
-            },
-        ))
-    return FrontierResult(
-        tuple(points),
-        provenance={"method": "exhaustive_binary", "step": 1.0 / m,
-                    "grid_sizes": [va_grid.shape[0], uv_grid.shape[0],
-                                   1 if wc_grid is None else wc_grid.shape[0]]},
+        point=_assemble_point(bounds, delta, cons),
+        params={
+            "u_given_v": uv.tolist(),
+            "v_given_a": va.tolist(),
+            "w_given_c": wc.tolist(),
+            "reconstruction": recon.tolist(),
+        },
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,15 +58,6 @@ def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarra
     return ok
 
 
-def jointly_typical_rows(x_n: np.ndarray, y_rows: np.ndarray, p_xy: np.ndarray,
-                         delta: float) -> np.ndarray:
-    """Mask of rows y^n with (x^n, y^n) jointly delta-typical w.r.t. p(x, y)."""
-    y_rows = np.atleast_2d(y_rows)
-    ky = p_xy.shape[1]
-    combined = x_n[None, :] * ky + y_rows
-    return typical_rows(combined, p_xy.ravel(), delta)
-
-
 def conditionally_typical_pairs(x_rows: np.ndarray, y_rows: np.ndarray,
                                 p_y_given_x: np.ndarray, delta: float) -> np.ndarray:
     """Mask of row pairs (x^n, y^n) with y^n conditionally typical given x^n.
@@ -86,14 +78,6 @@ def conditionally_typical_pairs(x_rows: np.ndarray, y_rows: np.ndarray,
     if zero.any():
         ok &= (counts[:, zero] == 0).all(axis=1)
     return ok
-
-
-def conditionally_typical_rows(x_n: np.ndarray, y_rows: np.ndarray, p_y_given_x: np.ndarray,
-                               delta: float) -> np.ndarray:
-    """Mask of rows y^n in the conditional typical set given one fixed x^n."""
-    y_rows = np.atleast_2d(y_rows)
-    x_rows = np.broadcast_to(x_n, y_rows.shape)
-    return conditionally_typical_pairs(x_rows, y_rows, p_y_given_x, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +123,27 @@ class CodeConfig:
     def delta(self) -> float:
         return self.delta_n if self.delta_n is not None else float(self.n) ** (-1.0 / 3.0)
 
-    @property
+    @cached_property
     def num_u(self) -> int:
         return _pow2_count(self.n, self.s1)
 
-    @property
+    @cached_property
     def num_v(self) -> int:
         return _pow2_count(self.n, self.s2)
 
-    @property
+    @cached_property
     def num_w(self) -> int:
         return _pow2_count(self.n, self.sc)
 
-    @property
+    @cached_property
     def bins_u(self) -> int:
         return _pow2_count(self.n, self.r1)
 
-    @property
+    @cached_property
     def bins_v(self) -> int:
         return _pow2_count(self.n, self.r2)
 
-    @property
+    @cached_property
     def bins_w(self) -> int:
         return _pow2_count(self.n, self.rc_link)
 

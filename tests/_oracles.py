@@ -1,11 +1,15 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately written with plain Python loops and math.log,
-independent of the vectorized library paths it is used to check.
+independent of the vectorized library paths it is used to check, except
+``oracle_exhaustive``, which evaluates its (many) systems in numpy batches
+but from the textbook definitions only.
 """
 
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
+
+import numpy as np
 
 
 def oracle_entropy(probs):
@@ -193,3 +197,66 @@ def oracle_decode(u_cb, v_cb, w_cb, cands_u, cands_v, cands_w, p_uvw, delta):
                 if oracle_typical(seq, flat, delta):
                     matches.append((s1, s2, s))
     return len(matches), (matches[0] if matches else first)
+
+
+def _grid_channels(n_in, k, m):
+    """Every n_in x k channel whose rows lie on the step-1/m simplex grid."""
+    rows = sorted({tuple(comp.count(j) / m for j in range(k))
+                   for comp in combinations_with_replacement(range(k), m)})
+    return [list(chan) for chan in product(rows, repeat=n_in)]
+
+
+def oracle_exhaustive(source, d_table, caps, step, constraints, fixed_wc=None):
+    """Best inner-bound Delta per constraint over every grid system.
+
+    Every row of p(u|v), p(v|a) and p(w|c) runs over the simplex grid of
+    ``step`` (``fixed_wc`` replaces the W grid), with no relabeling quotient
+    and no pruning.  Each system's six bounds are the subset-entropy
+    definitions on its composed joint p(u,v,w,a,c,e), with the reconstruction
+    chosen per (v, w) cell; it is scored as the library does: infeasible when
+    its summed constraint violation exceeds 1e-9, else
+    max(0, min(delta_max, max_r_c + delta_minus_rc_max)).  Returns one value
+    per constraint, None where no system is feasible.
+    """
+    source = np.asarray(source, dtype=float)
+    d_table = np.asarray(d_table, dtype=float)
+    na, nc, _ = source.shape
+    cu, cv, cw = caps
+    m = round(1.0 / step)
+    uvs = _grid_channels(cv, cu, m)
+    vas = _grid_channels(na, cv, m)
+    wcs = [fixed_wc] if fixed_wc is not None else _grid_channels(nc, cw, m)
+    systems = list(product(uvs, vas, wcs))
+    best = [None] * len(constraints)
+    batch = 2048  # systems per numpy pass, to keep memory small
+    for lo in range(0, len(systems), batch):
+        uv, va, wc = (np.array(x, dtype=float) for x in zip(*systems[lo:lo + batch]))
+        p = np.einsum("bvu,bav,bcw,ace->buvwace", uv, va, wc, source)
+
+        def H(*axes):  # axes of (u, v, w, a, c, e) = 1..6
+            drop = tuple(ax for ax in range(1, 7) if ax not in axes)
+            marg = p.sum(axis=drop).reshape(len(p), -1)
+            logs = np.log2(np.where(marg > 0, marg, 1.0))
+            return -(marg * logs).sum(axis=1)
+
+        U, V, W, A, C, E = range(1, 7)
+        r_a = np.maximum(H(V, W) + H(A, W) - H(V, A, W) - H(W), 0.0)
+        r_c = np.maximum(H(W, V) + H(C, V) - H(W, C, V) - H(V), 0.0)
+        r_sum = np.maximum(H(V, W) + H(A, C) - H(V, W, A, C), 0.0)
+        i_aw_u = np.maximum(H(A, U) + H(W, U) - H(A, W, U) - H(U), 0.0)
+        i_ae_u = np.maximum(H(A, U) + H(E, U) - H(A, E, U) - H(U), 0.0)
+        delta_max = H(A, V, W) - H(V, W) + i_aw_u - i_ae_u
+        delta_minus_rc = H(A, V) - H(V) - i_ae_u - r_c
+        p_vwa = p.sum(axis=(1, 5, 6))
+        d_min = np.einsum("zvwa,ab->zvwb", p_vwa, d_table).min(axis=3).sum(axis=(1, 2))
+        for i, c in enumerate(constraints):
+            violation = (np.maximum(d_min - c.max_d, 0.0) + np.maximum(r_a - c.max_r_a, 0.0)
+                         + np.maximum(r_c - c.max_r_c, 0.0)
+                         + np.maximum(r_sum - c.max_r_a - c.max_r_c, 0.0))
+            delta = delta_max
+            if math.isfinite(c.max_r_c):
+                delta = np.minimum(delta, c.max_r_c + delta_minus_rc)
+            vals = np.maximum(delta, 0.0)[violation <= 1e-9]
+            if vals.size and (best[i] is None or vals.max() > best[i]):
+                best[i] = float(vals.max())
+    return best

@@ -215,6 +215,13 @@ class TestSimulateCommand:
         assert rc == 2
         assert f"'{drop[-1]}'" in err
 
+    def test_invalid_json_exit(self, capsys, tmp_path):
+        path = sweep_sim_config(tmp_path)
+        Path(path).write_text(Path(path).read_text()[:-20])
+        rc, _, err = run_cli(["simulate", "--config", path], capsys)
+        assert rc == 2
+        assert "not valid JSON" in err
+
     def test_unknown_code_field_exit(self, capsys, tmp_path):
         path = sweep_sim_config(tmp_path)
         cfg = json.loads(Path(path).read_text())

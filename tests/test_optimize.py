@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from _oracles import oracle_exhaustive
 from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2
 from rdeq.probability import entropy, make_bec_bsc_source
 from rdeq.optimize import (
     FrontierPoint,
     FrontierResult,
     RegionConstraints,
-    _oracle_generic,
+    _channel_count,
+    _channel_grid,
     binary_frontier,
     binary_merge_threshold,
     brute_force_oracle,
@@ -135,6 +137,17 @@ class TestGenericInnerFrontier:
         # ascent is continuous so it may only beat the grid, up to tolerance
         assert ascent.points[0].point.delta >= oracle.points[0].point.delta - 5e-3
 
+    def test_matches_oracle_on_ternary_source(self):
+        # the ascent against the exhaustive grid on a non-binary A, under a
+        # helper-rate cap
+        rng = np.random.default_rng(5)
+        src = rand_source(rng, (3, 2, 2))
+        d = DistortionMeasure.hamming(3)
+        cons = (RegionConstraints(max_r_c=0.3, max_d=0.4),)
+        oracle = brute_force_oracle(src, d, (2, 2, 2), 0.05, cons)
+        ascent = generic_inner_frontier(src, d, (2, 2, 2), cons, n_starts=4, seed=0)
+        assert ascent.points[0].point.delta >= oracle.points[0].point.delta - 5e-3
+
     def test_multistart_monotone(self):
         rng = np.random.default_rng(13)
         src = rand_source(rng)
@@ -209,34 +222,43 @@ class TestBruteForceOracle:
         assert pt.point.r_a == pytest.approx(0.0, abs=1e-12)
         assert pt.point.d == pytest.approx(0.5, abs=1e-12)
 
-    def test_fast_path_matches_generic_path(self):
+    @staticmethod
+    def assert_matches_reference(res, src, d, caps, step, cons, fixed_w=None):
+        want = oracle_exhaustive(src.probs, d.table, caps, step, cons,
+                                 None if fixed_w is None else fixed_w.rows)
+        assert [p.feasible for p in res.points] == [w is not None for w in want]
+        for p, w in zip(res.points, want):
+            if w is not None:
+                assert abs(p.point.delta - w) <= 1e-12
+
+    def test_matches_plain_reference(self):
+        # one constraint of each kind (the last of them binds R_A + R_C), and
+        # one no system meets
         rng = np.random.default_rng(1)
         src = rand_source(rng)
         cons = (
             RegionConstraints(max_d=0.2),
             RegionConstraints(max_r_a=0.3, max_d=0.3),
+            RegionConstraints(max_r_c=0.25, max_d=0.25),
             RegionConstraints(),
+            RegionConstraints(max_r_a=0.5, max_r_c=0.3, max_d=0.1),
+            RegionConstraints(max_d=0.0, max_r_a=0.0),
         )
-        fast = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, cons)
-        gen = _oracle_generic(src, HAMMING2, (2, 2, 2), 0.25, cons, None)
-        for f, g in zip(fast.points, gen.points):
-            assert f.feasible == g.feasible
-            assert f.point.delta == pytest.approx(g.point.delta, abs=1e-9)
+        res = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, cons)
+        self.assert_matches_reference(res, src, HAMMING2, (2, 2, 2), 0.25, cons)
 
-    def test_fast_path_matches_generic_path_with_helper_rate_cap(self):
+    def test_matches_plain_reference_with_helper_rate_cap(self):
         # a finite max_r_c makes the objective min(eq5, max_r_c + eq6), which
         # the W-column pruning must bound as well
         rng = np.random.default_rng(0)
         src = rand_source(rng)
         cons = (RegionConstraints(max_r_c=0.2, max_d=0.3),)
-        fast = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, cons)
-        gen = _oracle_generic(src, HAMMING2, (2, 2, 2), 0.25, cons, None)
-        for f, g in zip(fast.points, gen.points):
-            assert f.feasible and g.feasible
-            assert f.point.delta == pytest.approx(g.point.delta, abs=1e-9)
+        res = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, cons)
+        assert res.points[0].feasible
+        self.assert_matches_reference(res, src, HAMMING2, (2, 2, 2), 0.25, cons)
 
-    def test_fixed_w_fast_path_matches_generic_path(self):
-        # the pruning bound of this path uses H(W) = H(p_a @ p(w|a))
+    def test_fixed_w_matches_plain_reference(self):
+        # the pruning bound uses H(W) = H(p_a @ p(w|a)), here with |W| = 3
         rng = np.random.default_rng(11)
         src = rand_source(rng)
         rows = rng.exponential(size=(2, 3))
@@ -246,14 +268,41 @@ class TestBruteForceOracle:
             RegionConstraints(max_r_a=0.3, max_d=0.3),
             RegionConstraints(max_r_c=0.2, max_d=0.3),
         )
-        fast = brute_force_oracle(src, HAMMING2, (2, 2, 3), 0.25, cons,
-                                  fixed_w_given_c=fixed_w)
-        gen = _oracle_generic(src, HAMMING2, (2, 2, 3), 0.25, cons, fixed_w)
-        assert any(g.feasible for g in gen.points)
-        for f, g in zip(fast.points, gen.points):
-            assert f.feasible == g.feasible
-            if g.feasible:
-                assert f.point.delta == pytest.approx(g.point.delta, abs=1e-9)
+        res = brute_force_oracle(src, HAMMING2, (2, 2, 3), 0.25, cons, fixed_w_given_c=fixed_w)
+        assert any(p.feasible for p in res.points)
+        self.assert_matches_reference(res, src, HAMMING2, (2, 2, 3), 0.25, cons, fixed_w)
+
+    @pytest.mark.parametrize("shape, caps", [((2, 2, 2), (2, 2, 3)), ((3, 2, 2), (2, 2, 2))],
+                             ids=["caps223", "ternary_a"])
+    def test_non_binary_matches_plain_reference(self, shape, caps):
+        rng = np.random.default_rng(8)
+        src = rand_source(rng, shape)
+        d = DistortionMeasure.hamming(shape[0])
+        cons = (
+            RegionConstraints(max_d=0.3),
+            RegionConstraints(max_r_a=0.5, max_d=0.4),
+            RegionConstraints(max_r_c=0.3, max_d=0.4),
+            RegionConstraints(),
+        )
+        res = brute_force_oracle(src, d, caps, 0.5, cons)
+        self.assert_matches_reference(res, src, d, caps, 0.5, cons)
+
+    def test_grid_sizes_count_the_relabel_quotient(self):
+        rng = np.random.default_rng(3)
+        src = rand_source(rng, (3, 2, 2))
+        res = brute_force_oracle(src, DistortionMeasure.hamming(3), (2, 3, 3), 0.5,
+                                 (RegionConstraints(),))
+        # one channel per output relabeling: V 3 x 3 rows, U 3 x 2, W 2 x 3
+        assert res.provenance["grid_sizes"] == [
+            len(_channel_grid(3, 3, 2)), len(_channel_grid(3, 2, 2)), len(_channel_grid(2, 3, 2))
+        ] == [_channel_count(3, 3, 2), _channel_count(3, 2, 2), _channel_count(2, 3, 2)]
+        for n_in, k, m in ((2, 2, 50), (3, 3, 3), (2, 4, 2), (4, 2, 3), (1, 3, 4)):
+            grid = _channel_grid(n_in, k, m)
+            assert len(grid) == _channel_count(n_in, k, m)
+            # columns sorted, and no two channels are relabelings of each other
+            canon = {tuple(sorted(map(tuple, ch.T))) for ch in grid}
+            assert all(list(map(tuple, ch.T)) == sorted(map(tuple, ch.T)) for ch in grid)
+            assert len(canon) == len(grid)
 
     def test_coarsening_never_increases_max(self):
         rng = np.random.default_rng(2)
@@ -284,7 +333,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(4)
         src = rand_source(rng)
         cons = (RegionConstraints(max_d=0.3),)
-        # the binary fast path, then the generic enumeration (|W| = 3)
+        # two shards, then one (|W| = 3), which runs in this process
         for caps, step in (((2, 2, 2), 0.1), ((2, 2, 3), 0.5)):
             a = brute_force_oracle(src, HAMMING2, caps, step, cons, workers=1)
             b = brute_force_oracle(src, HAMMING2, caps, step, cons, workers=2)
@@ -302,10 +351,10 @@ class TestBruteForceOracle:
             RegionConstraints(max_d=0.0, max_r_a=0.0),
             RegionConstraints(),
         )
-        together = _oracle_generic(src, HAMMING2, (2, 2, 2), 0.5, cons, None)
+        together = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, cons)
         assert [p.feasible for p in together.points] == [True, True, True, False, True]
         for pt, c in zip(together.points, cons):
-            alone = _oracle_generic(src, HAMMING2, (2, 2, 2), 0.5, (c,), None).points[0]
+            alone = brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, (c,)).points[0]
             assert (pt.feasible, pt.point, pt.params) == (alone.feasible, alone.point, alone.params)
 
 
@@ -433,6 +482,6 @@ class TestInfeasibleReporting:
         # zero distortion at zero rate is unachievable for a correlated source
         impossible = (RegionConstraints(max_d=0.0, max_r_a=0.0),)
         assert not brute_force_oracle(src, HAMMING2, (2, 2, 2), 0.25, impossible).points[0].feasible
-        assert not _oracle_generic(src, HAMMING2, (2, 2, 2), 0.25, impossible, None).points[0].feasible
+        assert oracle_exhaustive(src.probs, HAMMING2.table, (2, 2, 2), 0.25, impossible) == [None]
         assert not generic_inner_frontier(src, HAMMING2, (2, 2, 2), impossible,
                                           n_starts=4, seed=0).points[0].feasible

@@ -13,11 +13,10 @@ from rdeq.probability import make_bec_bsc_source, JointSource
 from rdeq.regions import AuxiliarySystem, binary_wyner_ziv_point
 from rdeq.simulate import (
     CodeConfig,
-    conditionally_typical_rows,
+    conditionally_typical_pairs,
     eve_map_bit_error_rate,
     exact_equivocation,
     generate_codebooks,
-    jointly_typical_rows,
     message_equivocation,
     run_experiment,
     typical_rows,
@@ -71,7 +70,7 @@ class TestTypicality:
         p_xy = np.array([[0.5, 0.0], [0.0, 0.5]])
         x = np.array([0, 1, 0, 1])
         ys = np.array([[0, 1, 0, 1], [1, 0, 1, 0]])
-        ok = jointly_typical_rows(x, ys, p_xy, delta=0.05)
+        ok = typical_rows(x * 2 + ys, p_xy.ravel(), delta=0.05)
         assert ok.tolist() == [True, False]
 
     def test_conditional_uses_given_counts(self):
@@ -80,11 +79,21 @@ class TestTypicality:
         x = np.array([0, 0, 0, 1])  # unbalanced given sequence
         y_match = np.array([[0, 0, 0, 1]])
         y_flip = np.array([[0, 0, 1, 1]])
-        assert conditionally_typical_rows(x, y_match, p_y_given_x, 0.05)[0]
-        assert not conditionally_typical_rows(x, y_flip, p_y_given_x, 0.05)[0]
+        assert conditionally_typical_pairs(x, y_match, p_y_given_x, 0.05)[0]
+        assert not conditionally_typical_pairs(x, y_flip, p_y_given_x, 0.05)[0]
 
 
 class TestCodeConfig:
+    def test_counts_computed_once(self, monkeypatch):
+        calls = []
+        real = simulate._pow2_count
+        monkeypatch.setattr(simulate, "_pow2_count", lambda n, r: calls.append(r) or real(n, r))
+        cfg = CodeConfig(n=8, r1=0.5, r2=0.0, rc_link=0.3, s1=0.6, s2=0.0, sc=0.4)
+        for _ in range(3):
+            counts = (cfg.num_u, cfg.num_v, cfg.num_w, cfg.bins_u, cfg.bins_v, cfg.bins_w)
+        assert counts == (28, 1, 10, 16, 1, 6)
+        assert len(calls) == 6
+
     def test_counts_round_up(self):
         cfg = CodeConfig(n=8, r1=0.5, r2=0.0, rc_link=0.3, s1=0.6, s2=0.0, sc=0.4)
         assert cfg.bins_u == 16
