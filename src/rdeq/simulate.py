@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -31,6 +31,8 @@ TRIAL_SHARD = 2048          # trials per seeding shard; fixed for reproducibilit
 _SAMPLE_BATCH = 4096        # candidate draws per rejection-sampling round
 _MAX_SAMPLE_ROUNDS = 500
 _PAIRS = 4096               # (codeword, row) pairs per typicality call in a codeword search
+_GATHER_FLOATS = 1 << 22    # factor-row floats gathered per equivocation GEMM (32 MiB)
+_WORK_BUDGET = 1 << 32      # default multiply-adds of exact equivocation (binary n = 16)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +194,6 @@ class CodeInstance:
         object.__setattr__(self, "u_bin", np.arange(cfg.num_u) % cfg.bins_u)
         object.__setattr__(self, "v_bin", np.arange(cfg.num_v) % cfg.bins_v)
         object.__setattr__(self, "w_bin", np.arange(cfg.num_w) % cfg.bins_w)
-        object.__setattr__(
-            self, "u_bin_members",
-            [np.nonzero(self.u_bin == b)[0] for b in range(cfg.bins_u)],
-        )
-        object.__setattr__(
-            self, "v_bin_members",
-            [np.nonzero(self.v_bin == b)[0] for b in range(cfg.bins_v)],
-        )
-        object.__setattr__(
-            self, "w_bin_members",
-            [np.nonzero(self.w_bin == b)[0] for b in range(cfg.bins_w)],
-        )
 
     @property
     def message_count(self) -> int:
@@ -269,16 +259,18 @@ class CodeInstance:
 
     def decode_bob(self, j: tuple[int, int], k: int) -> DecodeResult:
         r1, r2 = j
-        if not (0 <= r1 < self.config.bins_u and 0 <= r2 < self.config.bins_v
-                and 0 <= k < self.config.bins_w):
+        cfg = self.config
+        if not (0 <= r1 < cfg.bins_u and 0 <= r2 < cfg.bins_v and 0 <= k < cfg.bins_w):
             raise ValidationError("bin index out of range")
-        m1, m2, mw = self.u_bin_members[r1], self.v_bin_members[r2], self.w_bin_members[k]
+        # bins are round-robin: bin r holds codewords r, r + bins, r + 2 bins, ...
+        m1, m2 = np.arange(r1, cfg.num_u, cfg.bins_u), np.arange(r2, cfg.num_v, cfg.bins_v)
+        mw = np.arange(k, cfg.num_w, cfg.bins_w)
         p_uvw = self._dist["p_uvw"]
         nv, nw = p_uvw.shape[1:]
         # every candidate triple of the bins, in lexicographic (s1, s2, s) order
         comb = ((self.u_cb[m1].astype(np.int64)[:, None, None] * nv
                  + self.v_cb[m1[:, None], m2][:, :, None]) * nw + self.w_cb[mw])
-        ok = typical_rows(comb.reshape(-1, self.config.n), p_uvw, self.config.delta)
+        ok = typical_rows(comb.reshape(-1, cfg.n), p_uvw, cfg.delta)
         # the first match, or the first candidate when nothing matches
         i1, i2, i3 = np.unravel_index(int(ok.argmax()), comb.shape[:3])
         s1, s2, s = int(m1[i1]), int(m2[i2]), int(mw[i3])
@@ -429,30 +421,51 @@ def _digits(codes: np.ndarray, na: int, n: int) -> np.ndarray:
     return ((codes[:, None] // powers[None, :]) % na).astype(np.int64)
 
 
-def _eve_channel(source: JointSource) -> tuple[np.ndarray, np.ndarray]:
-    """p(a) and the rows p(e|a), zero where p(a) = 0."""
-    p_a = source.p_a()
-    return p_a, np.where(p_a[:, None] > 0,
-                         source.p_ae() / np.where(p_a[:, None] > 0, p_a[:, None], 1.0), 0.0)
+def _eve_joint(source: JointSource, n: int):
+    """The one definition of p(A^n in G, e^n): a function of a set G of a^n codes.
+
+    p(a^n, e^n) = prod_i p(a_i, e_i) is the Kronecker product K_h (x) K_t of
+    K_m = p(a, e)^(x)m, shape (|A|^m, |E|^m), over a head of h = n // 2
+    symbols and a tail of t = n - h.  So the sum over a^n in G is the one
+    GEMM K_h[G // |A|^t]^T K_t[G % |A|^t], an (|E|^h, |E|^t) matrix whose
+    row-major order is the e^n integer code; it costs |G| |E|^n multiply-adds.
+    A large G is summed over slices of its members, so each GEMM gathers at
+    most ``_GATHER_FLOATS`` floats of factor rows.
+    """
+    p_ae = source.p_ae()
+    k_h = reduce(np.kron, [p_ae] * (n // 2), np.ones((1, 1)))
+    k_t = reduce(np.kron, [p_ae] * (n - n // 2), np.ones((1, 1)))
+    tail = k_t.shape[0]
+    step = max(1, _GATHER_FLOATS // (k_h.shape[1] + k_t.shape[1]))
+
+    def joint(codes: np.ndarray) -> np.ndarray:
+        parts = [codes[lo:lo + step] for lo in range(0, max(codes.size, 1), step)]
+        return sum(k_h[g // tail].T @ k_t[g % tail] for g in parts)
+
+    return joint
 
 
-def _joint_with_eve(dig: np.ndarray, p_a: np.ndarray, pe_rows: np.ndarray) -> np.ndarray:
-    """p(a^n, e^n) for each row a^n of ``dig``; columns are e^n by integer code."""
-    w = np.prod(p_a[dig], axis=1)[:, None]
-    for i in range(dig.shape[1]):
-        w = (w[:, :, None] * pe_rows[dig[:, i]][:, None, :]).reshape(w.shape[0], -1)
-    return w
+def _message_groups(j_of_seq: np.ndarray) -> list[np.ndarray]:
+    """The a^n codes of each message, in increasing message and code order."""
+    order = np.argsort(j_of_seq, kind="stable")
+    return np.split(order, np.nonzero(np.diff(j_of_seq[order]))[0] + 1)
 
 
 def message_equivocation(source: JointSource, n: int, j_of_seq: np.ndarray,
-                         num_messages: int, *, work_budget: int = 1 << 31) -> float:
+                         num_messages: int, *, work_budget: int = _WORK_BUDGET) -> float:
     """Exact H(A^n | J, E^n)/n in bits for a deterministic message map.
 
     ``j_of_seq`` assigns a message to every source sequence, indexed by the
     integer code sum_i a_i |A|^(n-1-i).  Uses
     H(A^n | J, E^n) = n H(A, E) - H(J, E^n), valid because J is a function of
-    A^n, and accumulates p(J, E^n) one message group at a time so memory stays
-    at one |E|^n vector.
+    A^n; each message's p(J = j, e^n) is one split-half GEMM (``_eve_joint``).
+
+    ``work_budget`` bounds the GEMMs' multiply-adds, |A|^n |E|^n in all.  Its
+    default, 2^32 (binary A and E at n = 16), takes 0.3-0.4 s of one core
+    (about 1.2e10 multiply-adds/s with OpenBLAS on a 2-core x86-64 host).
+    Each GEMM gathers at most max(2^22, |E|^h + |E|^t) floats of factor rows
+    (32 MiB unless one row pair is larger), whatever the group sizes, and a
+    message adds its |E|^n matrix and running sum.
     """
     na, _, ne = source.alphabet_sizes
     n_seq = na ** n
@@ -460,27 +473,19 @@ def message_equivocation(source: JointSource, n: int, j_of_seq: np.ndarray,
         raise ValidationError(f"j_of_seq must have shape ({n_seq},)")
     if num_messages < 1 or j_of_seq.min() < 0 or j_of_seq.max() >= num_messages:
         raise ValidationError("message indices must lie in [0, num_messages)")
-    if n_seq * (ne ** n) > work_budget:
+    if n_seq * ne ** n > work_budget:
         raise BudgetError(
-            f"equivocation enumeration needs ~{n_seq * ne ** n} accumulation steps, "
-            f"above the budget of {work_budget}"
+            f"exact equivocation needs {n_seq * ne ** n} GEMM multiply-adds (|A|^n |E|^n), "
+            f"above the budget of {work_budget}; it would hold up to "
+            f"{8 * _GATHER_FLOATS / 2 ** 20:.0f} MiB of factor rows per GEMM and "
+            f"{16 * ne ** n / 2 ** 20:.1f} MiB for a message's |E|^n matrix and running sum"
         )
-    p_a, pe_rows = _eve_channel(source)
-    order = np.argsort(j_of_seq, kind="stable")
-    j_sorted = j_of_seq[order]
-    group_bounds = np.nonzero(np.diff(j_sorted))[0] + 1
-    groups = np.split(order, group_bounds)
-
+    joint = _eve_joint(source, n)
     h_je = 0.0
-    chunk = max(1, (1 << 22) // (ne ** n))
-    for members in groups:
-        vec = np.zeros(ne ** n)
-        for lo in range(0, members.size, chunk):
-            dig = _digits(members[lo:lo + chunk], na, n)
-            vec += _joint_with_eve(dig, p_a, pe_rows).sum(axis=0)
-        nz = vec[vec > 0]
-        if nz.size:
-            h_je -= float((nz * np.log2(nz)).sum())
+    for members in _message_groups(j_of_seq):
+        p = joint(members)
+        nz = p[p > 0]
+        h_je -= float((nz * np.log2(nz)).sum())
     h_ae = entropy_unchecked(source.p_ae())
     equiv = (n * h_ae - h_je) / n
     h_a_e = h_ae - entropy_unchecked(source.p_e())
@@ -507,8 +512,9 @@ def encoder_message_table(instance: CodeInstance, *, state_budget: int = 1 << 24
 
 
 def exact_equivocation(instance: CodeInstance, source: JointSource, *,
-                       state_budget: int = 1 << 24, work_budget: int = 1 << 31) -> float:
-    """Exact H(A^n | J, E^n)/n of the realized code, by full enumeration."""
+                       state_budget: int = 1 << 24, work_budget: int = _WORK_BUDGET) -> float:
+    """Exact H(A^n | J, E^n)/n of the realized code: J for all |A|^n source
+    sequences (at most ``state_budget``), then ``message_equivocation``."""
     table = encoder_message_table(instance, state_budget=state_budget)
     return message_equivocation(source, instance.config.n, table,
                                 instance.message_count, work_budget=work_budget)
@@ -518,7 +524,8 @@ def eve_map_bit_error_rate(instance: CodeInstance, source: JointSource, *,
                            state_budget: int = 1 << 18) -> float:
     """Mean bit error rate of Eve's symbol-wise MAP estimate of A^n from (J, E^n).
 
-    Exact enumeration; binary sources at small n only.  The binary-entropy
+    Exact enumeration; binary sources at small n only.  p(j, a_i = 1, e^n) is
+    ``_eve_joint`` over the message's a^n with a_i = 1.  The binary-entropy
     bound h2(BER) >= H(A^n | J, E^n)/n sandwiches the exact equivocation.
     """
     n = instance.config.n
@@ -529,16 +536,13 @@ def eve_map_bit_error_rate(instance: CodeInstance, source: JointSource, *,
     if n_seq * (ne ** n) > state_budget * 64:
         raise BudgetError(f"BER enumeration too large for budget {state_budget}")
     table = encoder_message_table(instance, state_budget=state_budget)
-    dig = _digits(np.arange(n_seq, dtype=np.int64), na, n)
-    w = _joint_with_eve(dig, *_eve_channel(source))
-    # w[a_code, e_code] = p(a^n, e^n); group over j for posteriors
+    joint = _eve_joint(source, n)
     ber = 0.0
-    for j in np.unique(table):
-        rows = np.nonzero(table == j)[0]
-        block = w[rows]                      # (m, ne^n)
-        total = block.sum(axis=0)            # p(j, e^n)
+    for members in _message_groups(table):
+        total = joint(members)                                  # p(j, e^n)
+        bits = _digits(members, na, n)
         for i in range(n):
-            mass1 = block[dig[rows, i] == 1].sum(axis=0)
+            mass1 = joint(members[bits[:, i] == 1])             # p(j, a_i = 1, e^n)
             correct = np.maximum(mass1, total - mass1)
             ber += float((total - correct).sum()) / n
     return ber
@@ -630,7 +634,7 @@ def run_experiment(
     workers: int = 1,
     compute_equivocation: bool = True,
     state_budget: int = 1 << 24,
-    work_budget: int = 1 << 31,
+    work_budget: int = _WORK_BUDGET,
     trace_path: str | None = None,
 ) -> SimReport:
     """Generate one code, run Monte Carlo trials, attach exact equivocation.

@@ -199,6 +199,35 @@ def oracle_decode(u_cb, v_cb, w_cb, cands_u, cands_v, cands_w, p_uvw, delta):
     return len(matches), (matches[0] if matches else first)
 
 
+def oracle_message_equivocation(p_ae, n, table):
+    """H(A^n | J, E^n)/n for the message map J = table[a^n code], from the
+    definition: every p(a^n, e^n) = prod_i p(a_i, e_i) entry by entry,
+    p(j, e^n) summed over the a^n with table = j, and
+    H = -sum p(a^n, e^n) log2(p(a^n, e^n) / p(j, e^n)).  a^n runs in
+    lexicographic order, which is integer-code order."""
+    seqs_a = list(product(range(len(p_ae)), repeat=n))
+    seqs_e = list(product(range(len(p_ae[0])), repeat=n))
+
+    def p_seq(a, e):
+        p = 1.0
+        for x, y in zip(a, e):
+            p *= p_ae[x][y]
+        return p
+
+    p_je = {}
+    for code, a in enumerate(seqs_a):
+        for e in seqs_e:
+            key = (table[code], e)
+            p_je[key] = p_je.get(key, 0.0) + p_seq(a, e)
+    total = 0.0
+    for code, a in enumerate(seqs_a):
+        for e in seqs_e:
+            p = p_seq(a, e)
+            if p > 0.0:
+                total -= p * math.log2(p / p_je[(table[code], e)])
+    return total / n
+
+
 def _grid_channels(n_in, k, m):
     """Every n_in x k channel whose rows lie on the step-1/m simplex grid."""
     rows = sorted({tuple(comp.count(j) / m for j in range(k))

@@ -7,6 +7,7 @@ from _oracles import (
     oracle_decode,
     oracle_first_refinement,
     oracle_first_typical,
+    oracle_message_equivocation,
 )
 from rdeq import BudgetError, Channel, DistortionMeasure, ValidationError, h2, simulate
 from rdeq.probability import make_bec_bsc_source, JointSource
@@ -14,6 +15,7 @@ from rdeq.regions import AuxiliarySystem, binary_wyner_ziv_point
 from rdeq.simulate import (
     CodeConfig,
     conditionally_typical_pairs,
+    encoder_message_table,
     eve_map_bit_error_rate,
     exact_equivocation,
     generate_codebooks,
@@ -149,7 +151,7 @@ class TestCodebooks:
         cfg = CodeConfig(n=8, r1=0.4, r2=0.0, rc_link=0.6, s1=0.7, s2=0.0, sc=0.9,
                          delta_n=0.15, seed=5)
         inst = generate_codebooks(src, sys, cfg)
-        sizes = [len(m) for m in inst.u_bin_members]
+        sizes = np.bincount(inst.u_bin, minlength=cfg.bins_u)
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == cfg.num_u
 
@@ -423,6 +425,51 @@ class TestExactEquivocation:
         table = rng.integers(0, 5, size=2 ** n).astype(np.int64)
         eq = message_equivocation(src, n, table, 5)
         assert 0.0 <= eq <= h2(0.1) + 1e-12
+
+    @pytest.mark.parametrize("n, na, ne", [(1, 3, 3), (5, 3, 3), (7, 3, 2), (7, 2, 3)])
+    def test_matches_plain_reference_at_odd_n(self, n, na, ne):
+        # odd n splits a^n into a head shorter than its tail; |A| != |E| keeps
+        # the sequence and eavesdropper counts apart
+        rng = np.random.default_rng(100 * n + 10 * na + ne)
+        p = rng.random((na, 2, ne))
+        p[0, :, ne - 1] = 0.0
+        src = JointSource(p / p.sum())
+        table = rng.integers(0, 5, size=na ** n).astype(np.int64)
+        want = oracle_message_equivocation(src.p_ae().tolist(), n, table.tolist())
+        assert message_equivocation(src, n, table, 5) == pytest.approx(want, abs=1e-12)
+
+    def test_matches_plain_reference_on_sweep_code(self):
+        src = make_bec_bsc_source(SWEEP_P, h2(SWEEP_P))
+        inst = generate_codebooks(src, wz_system(SWEEP_ALPHA, SWEEP_W, SWEEP_RECON),
+                                  sweep_config(8))
+        table = encoder_message_table(inst)
+        assert len(np.unique(table)) > 1
+        want = oracle_message_equivocation(src.p_ae().tolist(), 8, table.tolist())
+        assert exact_equivocation(inst, src) == pytest.approx(want, abs=1e-12)
+
+    def test_sliced_large_group_matches_whole(self, monkeypatch):
+        # one message holds ~90% of the a^n; gathering 5 factor-row pairs per
+        # GEMM sums that group over ~400 slices
+        rng = np.random.default_rng(17)
+        p = rng.random((3, 2, 2))
+        src = JointSource(p / p.sum())
+        n = 7
+        table = (rng.random(3 ** n) < 0.1).astype(np.int64)
+        whole = message_equivocation(src, n, table, 2)
+        monkeypatch.setattr(simulate, "_GATHER_FLOATS", 5 * (2 ** 3 + 2 ** 4))
+        sliced = message_equivocation(src, n, table, 2)
+        want = oracle_message_equivocation(src.p_ae().tolist(), n, table.tolist())
+        assert sliced == pytest.approx(whole, abs=1e-12)
+        assert sliced == pytest.approx(want, abs=1e-12)
+
+    def test_work_budget_counts_gemm_multiply_adds(self):
+        src = make_bec_bsc_source(0.1, h2(0.1))       # |A| = |E| = 2
+        n = 6
+        table = np.arange(2 ** n, dtype=np.int64) % 3
+        work = 2 ** n * 2 ** n
+        with pytest.raises(BudgetError, match="multiply-adds"):
+            message_equivocation(src, n, table, 3, work_budget=work - 1)
+        assert 0.0 <= message_equivocation(src, n, table, 3, work_budget=work) <= h2(0.1)
 
     def test_gap_to_single_letter_shrinks(self):
         # sweep operating point: the n = 8 gap dominates the n = 14 gap
