@@ -57,10 +57,21 @@ TABLE_REFERENCE = {
 }
 
 
-def _resolve_eps(token: str, p: float) -> float:
-    if token == "h2p":
-        return h2(p)
-    return float(token)
+# argparse ``type=`` parsers: text they reject is a usage error (exit 2)
+
+def _eps_arg(text: str) -> float | str:
+    """``--eps``: a number, or 'h2p' for eps = h2(p)."""
+    return text if text == "h2p" else float(text)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers."""
+    return tuple(int(x) for x in text.split(","))
+
+
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers."""
+    return [float(x) for x in text.split(",")]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -83,7 +94,7 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
 
 def cmd_binary(args) -> int:
     p = args.p
-    eps = _resolve_eps(args.eps, p)
+    eps = h2(p) if args.eps == "h2p" else args.eps
     if args.d is not None:
         grid = sorted(float(x) for x in args.d)
     else:
@@ -134,14 +145,13 @@ def cmd_binary(args) -> int:
 
 def cmd_gaussian(args) -> int:
     params = GaussianParams(rho_c=args.rho_c, rho_e=args.rho_e)
-    rc_values = [math.inf if t == "inf" else float(t) for t in args.rc]
     d_values = (
         [float(x) for x in args.d] if args.d is not None
         else _log_grid(args.d_min, args.d_max, args.points)
     )
     exact = args.rho_e == 0.0
     rows = []
-    for rc in rc_values:
+    for rc in args.rc:
         for d in d_values:
             b = gaussian_inner(params, rc, d)
             if exact:
@@ -173,7 +183,7 @@ def cmd_region(args) -> int:
     na, nc, _ = source.alphabet_sizes
     d = DistortionMeasure.hamming(na)
     # identity-sized auxiliaries by default; pass --caps for larger searches
-    caps = tuple(int(x) for x in args.caps.split(",")) if args.caps else (na, na, nc)
+    caps = args.caps or (na, na, nc)
     constraints = [
         RegionConstraints(max_r_a=args.max_ra, max_r_c=args.max_rc, max_d=float(x))
         for x in args.max_d
@@ -191,8 +201,7 @@ def cmd_region(args) -> int:
 
 def cmd_lossless(args) -> int:
     source = JointSource.from_json_file(args.source)
-    grid = [float(x) for x in args.rc_grid.split(",")]
-    res = lossless_frontier(source, grid, n_starts=args.starts, seed=args.seed,
+    res = lossless_frontier(source, args.rc_grid, n_starts=args.starts, seed=args.seed,
                             workers=args.workers)
     if not any(pt.feasible for pt in res.points):
         print("every helper rate below H(C|A); nothing feasible", file=sys.stderr)
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("binary", help="binary BEC/BSC equivocation-distortion curves")
     b.add_argument("--p", type=float, required=True)
-    b.add_argument("--eps", type=str, required=True, help="erasure probability or 'h2p'")
+    b.add_argument("--eps", type=_eps_arg, required=True, help="erasure probability or 'h2p'")
     b.add_argument("--d-min", type=float, default=1e-4)
     b.add_argument("--d-max", type=float, default=0.2)
     b.add_argument("--points", type=int, default=60)
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gaussian", help="Gaussian closed-form region sweep")
     g.add_argument("--rho-c", type=float, required=True)
     g.add_argument("--rho-e", type=float, required=True)
-    g.add_argument("--rc", type=str, nargs="+", default=["1.0"],
+    g.add_argument("--rc", type=float, nargs="+", default=[1.0],
                    help="helper rates in bits; 'inf' for uncoded side information")
     g.add_argument("--d-min", type=float, default=0.05)
     g.add_argument("--d-max", type=float, default=1.0)
@@ -387,13 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--max-d", type=float, nargs="+", required=True)
     r.add_argument("--max-ra", type=float, default=math.inf)
     r.add_argument("--max-rc", type=float, default=math.inf)
-    r.add_argument("--caps", type=str, default=None, help="|U|,|V|,|W|")
+    r.add_argument("--caps", type=_int_list, default=None, help="|U|,|V|,|W|")
     r.add_argument("--starts", type=int, default=64)
     r.set_defaults(func=cmd_region)
 
     lo = sub.add_parser("lossless", help="distributed lossless frontier search")
     lo.add_argument("--source", required=True)
-    lo.add_argument("--rc-grid", type=str, required=True, help="comma-separated helper rates")
+    lo.add_argument("--rc-grid", type=_float_list, required=True, help="comma-separated helper rates")
     lo.add_argument("--starts", type=int, default=64)
     lo.set_defaults(func=cmd_lossless)
 

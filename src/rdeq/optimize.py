@@ -3,7 +3,8 @@
 Three search engines trace region frontiers:
 
 * ``binary_frontier`` -- the scalar (alpha, beta) family of the binary
-  BEC/BSC model, by coarse grid plus golden-section refinement.
+  BEC/BSC model, by nested grids over its closed form, each re-centred on
+  the best point so far.
 * ``generic_inner_frontier`` / ``lossless_frontier`` -- random multi-start
   coordinate ascent over channel rows for arbitrary discrete sources, under
   the stated cardinality caps.  Results are lower bounds on the true frontier.
@@ -31,21 +32,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .probability import Channel, DistortionMeasure, JointSource, entropy_unchecked, h2, h2_inv
+from .probability import Channel, DistortionMeasure, JointSource, entropy_unchecked, h2_inv
 from .regions import (
     BinaryParams,
     InnerBounds,
     RegionPoint,
     SubsetEntropies,
+    binary_bec_bsc_bounds,
     binary_bec_bsc_point,
     inner_bounds_of_joint,
     lossless_region_point,
 )
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: constraint slack when filtering candidates
 SLACK = 1e-9
+
+_COARSE = 33  # points per axis of each grid of the binary (alpha, beta) search
+_TOL = 1e-5  # the binary search stops once its grid spacing is below _TOL / 10
 
 
 # ---------------------------------------------------------------------------
@@ -233,32 +236,6 @@ def _best(cands) -> tuple | None:
 # binary (alpha, beta) frontier
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; deterministic."""
-    if hi - lo <= tol:
-        x = 0.5 * (lo + hi)
-        return x, f(x)
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _binary_delta(p: float, eps: float, alpha: float, beta: float) -> float:
-    return binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=beta)).delta_max
-
-
 def _binary_alpha_range(eps: float, d: float, rate_cap: float | None) -> tuple[float, float] | None:
     """Feasible alpha interval under D >= eps*alpha and R_A <= rate_cap."""
     alpha_hi = 0.5 if eps <= 0.0 else min(0.5, d / eps)
@@ -271,52 +248,32 @@ def _binary_alpha_range(eps: float, d: float, rate_cap: float | None) -> tuple[f
     return alpha_lo, min(alpha_hi, 0.5)
 
 
-def _binary_maximize(p, eps, alpha_range, *, force_beta_zero, coarse, tol):
+def _binary_maximize(p, eps, alpha_range, *, force_beta_zero):
     """Max of the closed-form Delta over the (alpha, beta) box, deterministic.
 
-    Coarse grid, then golden-section refinement per axis around the incumbent;
-    interval endpoints are always evaluated exactly so boundary optima (the
-    usual case when the distortion or rate constraint binds) carry no
-    refinement error.
+    Nested ``_COARSE`` x ``_COARSE`` grids.  The first spans the box, so both
+    alpha ends and beta = 0 (where binding constraints put the optimum) are
+    exact grid points.  Each later grid is centred on the best point so far,
+    with a half-width of two spacings of the previous grid, clipped to the
+    box; the search stops once the spacing drops below ``_TOL / 10``.
+    Ties go to the first grid and then to the smaller (alpha, beta) index.
     """
-    a_lo, a_hi = alpha_range
-    alphas = np.linspace(a_lo, a_hi, coarse) if a_hi > a_lo else np.array([a_lo])
-    betas = np.array([0.0]) if force_beta_zero else np.linspace(0.0, 0.5, coarse)
+    box_lo = np.array([alpha_range[0], 0.0])
+    box_hi = np.array([alpha_range[1], 0.0 if force_beta_zero else 0.5])
+    lo, hi = box_lo, box_hi
     best = None
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            val = _binary_delta(p, eps, float(a), float(b))
-            if _better((val, (i, j)), best):
-                best = (val, (i, j), float(a), float(b))
-    best_val, _, a_star, b_star = best
-
-    def consider(a, b):
-        nonlocal best_val, a_star, b_star
-        val = _binary_delta(p, eps, a, b)
-        if val > best_val + 1e-15:
-            best_val, a_star, b_star = val, a, b
-
-    da = (alphas[1] - alphas[0]) if len(alphas) > 1 else 0.0
-    db = (betas[1] - betas[0]) if len(betas) > 1 else 0.0
-    for _ in range(4):
-        if da > 0:
-            x, _ = _golden_max(
-                lambda a: _binary_delta(p, eps, a, b_star),
-                max(a_lo, a_star - da), min(a_hi, a_star + da), tol * 0.1,
-            )
-            consider(float(x), b_star)
-        if db > 0 and not force_beta_zero:
-            x, _ = _golden_max(
-                lambda b: _binary_delta(p, eps, a_star, b),
-                max(0.0, b_star - db), min(0.5, b_star + db), tol * 0.1,
-            )
-            consider(a_star, float(x))
-        da, db = da * 0.2, db * 0.2
-    for a_end in (a_lo, a_hi):
-        consider(a_end, b_star)
-        consider(a_end, 0.0)
-    consider(a_star, 0.0)
-    return float(a_star), float(b_star), float(best_val)
+    while True:
+        alphas, betas = (np.linspace(l, h, _COARSE if h > l else 1) for l, h in zip(lo, hi))
+        vals = binary_bec_bsc_bounds(p, eps, alphas[:, None], betas[None, :]).delta_max
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        if best is None or vals[i, j] > best[2]:
+            best = (float(alphas[i]), float(betas[j]), float(vals[i, j]))
+        spacing = (hi - lo) / (_COARSE - 1)
+        if spacing.max() < _TOL / 10:
+            return best
+        centre = np.array(best[:2])
+        lo = np.maximum(box_lo, centre - 2 * spacing)
+        hi = np.minimum(box_hi, centre + 2 * spacing)
 
 
 def binary_frontier(
@@ -326,15 +283,13 @@ def binary_frontier(
     rate_cap: float | None = None,
     *,
     force_beta_zero: bool = False,
-    coarse: int = 33,
-    tol: float = 1e-5,
 ) -> FrontierResult:
     """Best equivocation of the binary model for each distortion level.
 
     For each D in ``d_grid``, maximizes the closed-form Delta over
     alpha in [0, min(1/2, D/eps)] and beta in [0, 1/2], subject to the
-    optional Alice rate cap.  ``force_beta_zero`` restricts to the
-    single-layer (Wyner-Ziv) family.
+    optional Alice rate cap, by nested grids (``_binary_maximize``).
+    ``force_beta_zero`` restricts to the single-layer (Wyner-Ziv) family.
     """
     BinaryParams(p=p, eps=eps, alpha=0.0, beta=0.0)  # validate ranges
     d_grid = [float(x) for x in d_grid]
@@ -348,9 +303,7 @@ def binary_frontier(
         if rng_box is None:
             points.append(FrontierPoint(sweep=d, feasible=False, point=None, params={}))
             continue
-        alpha, beta, delta = _binary_maximize(
-            p, eps, rng_box, force_beta_zero=force_beta_zero, coarse=coarse, tol=tol
-        )
+        alpha, beta, delta = _binary_maximize(p, eps, rng_box, force_beta_zero=force_beta_zero)
         bounds = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=beta))
         if not (delta <= bounds.delta_max + 1e-12 and bounds.d_min <= d + SLACK):
             raise RuntimeError(f"frontier candidate failed re-validation at D={d}")
@@ -368,7 +321,7 @@ def binary_frontier(
         tuple(points),
         provenance={
             "model": "binary_bec_bsc", "p": p, "eps": eps, "rate_cap": rate_cap,
-            "force_beta_zero": force_beta_zero, "coarse": coarse, "tol": tol,
+            "force_beta_zero": force_beta_zero, "coarse": _COARSE, "tol": _TOL,
         },
     )
 
@@ -381,10 +334,9 @@ def binary_merge_threshold(
     Bisects on the gap Delta_opt(D) - Delta_wz(D) <= gap_tol.
     """
     def gap(d: float) -> float:
-        _, _, opt = _binary_maximize(p, eps, _binary_alpha_range(eps, d, None),
-                                     force_beta_zero=False, coarse=33, tol=1e-6)
-        _, _, wz = _binary_maximize(p, eps, _binary_alpha_range(eps, d, None),
-                                    force_beta_zero=True, coarse=33, tol=1e-6)
+        box = _binary_alpha_range(eps, d, None)
+        _, _, opt = _binary_maximize(p, eps, box, force_beta_zero=False)
+        _, _, wz = _binary_maximize(p, eps, box, force_beta_zero=True)
         return opt - wz
 
     if gap(hi) > gap_tol:

@@ -36,34 +36,57 @@ Regime = str  #: one of "degraded", "less_noisy", "more_capable", "none"
 # scalar primitives
 # ---------------------------------------------------------------------------
 
-def h2(x: float) -> float:
-    """Binary entropy h2(x) = -x log2 x - (1-x) log2(1-x), with h2(0)=h2(1)=0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"h2 argument must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def check_range(name: str, x, hi: float = 1.0) -> np.ndarray:
+    """``x`` as a float array whose every entry lies in [0, hi]; NaN is out of range."""
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= hi)
+    if not np.all(inside):
+        raise ValidationError(f"{name} must lie in [0, {hi:g}], got {x[~inside].flat[0]}")
+    return x
+
+
+def h2_unchecked(x) -> np.ndarray:
+    """Unvalidated elementwise h2: the one expression behind ``h2`` and the closed forms."""
+    x = np.asarray(x, dtype=float)
+    inner = (x > 0.0) & (x < 1.0)
+    y = np.where(inner, x, 0.5)
+    return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+
+
+def h2(x):
+    """Binary entropy h2(x) = -x log2 x - (1-x) log2(1-x), with h2(0)=h2(1)=0.
+
+    Elementwise over arrays; a scalar argument gives a float.
+    """
+    out = h2_unchecked(check_range("h2 argument", x))
+    return float(out) if out.ndim == 0 else out
 
 
 def h2_inv(y: float, tol: float = 1e-14) -> float:
     """Inverse of h2 on [0, 1/2], by bisection."""
-    if not 0.0 <= y <= 1.0:
-        raise ValidationError(f"h2_inv argument must lie in [0, 1], got {y}")
+    check_range("h2_inv argument", y)
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if h2(mid) < y:
+        if h2_unchecked(mid) < y:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def star(a: float, b: float) -> float:
-    """Binary convolution a*b = a(1-b) + (1-a)b."""
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValidationError(f"star arguments must lie in [0, 1], got ({a}, {b})")
+def star_unchecked(a, b):
+    """Binary convolution a*b = a(1-b) + (1-a)b, unvalidated; the one star expression."""
     return a * (1.0 - b) + (1.0 - a) * b
+
+
+def star(a, b):
+    """Binary convolution a*b = a(1-b) + (1-a)b.
+
+    Elementwise over broadcast arrays; scalar arguments give a float.
+    """
+    out = star_unchecked(check_range("star argument", a), check_range("star argument", b))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +229,13 @@ class Channel:
     @staticmethod
     def bsc(p: float) -> "Channel":
         """Binary symmetric channel with crossover probability p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"BSC crossover must lie in [0, 1], got {p}")
+        check_range("BSC crossover", p)
         return Channel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
     @staticmethod
     def bec(eps: float) -> "Channel":
         """Binary erasure channel; outputs are (0, erasure, 1)."""
-        if not 0.0 <= eps <= 1.0:
-            raise ValidationError(f"BEC erasure probability must lie in [0, 1], got {eps}")
+        check_range("BEC erasure probability", eps)
         return Channel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
     @staticmethod
@@ -420,10 +441,8 @@ def classify_bec_bsc_regime(p: float, eps: float) -> Regime:
     "more_capable" for eps <= h2(p), and "none" beyond.  Boundaries go to the
     stronger regime.
     """
-    if not 0.0 <= p <= 0.5:
-        raise ValidationError(f"p must lie in [0, 1/2], got {p}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must lie in [0, 1], got {eps}")
+    check_range("p", p, 0.5)
+    check_range("eps", eps)
     if eps <= 2.0 * p:
         return "degraded"
     if eps <= 4.0 * p * (1.0 - p):

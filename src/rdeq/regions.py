@@ -23,10 +23,11 @@ from .probability import (
     Channel,
     DistortionMeasure,
     JointSource,
+    check_range,
     compose_full_joint,
     entropy_unchecked,
-    h2,
-    star,
+    h2_unchecked,
+    star_unchecked,
 )
 
 #: axis names for the composed joint
@@ -231,14 +232,15 @@ class BinaryParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 0.5:
-            raise ValidationError(f"p must lie in [0, 1/2], got {self.p}")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValidationError(f"eps must lie in [0, 1], got {self.eps}")
-        if not 0.0 <= self.alpha <= 0.5:
-            raise ValidationError(f"alpha must lie in [0, 1/2], got {self.alpha}")
-        if not 0.0 <= self.beta <= 0.5:
-            raise ValidationError(f"beta must lie in [0, 1/2], got {self.beta}")
+        _check_binary(self.p, self.eps, self.alpha, self.beta)
+
+
+def _check_binary(p, eps, alpha, beta) -> tuple[np.ndarray, ...]:
+    """The four binary parameters as broadcast float arrays, range-checked."""
+    return np.broadcast_arrays(
+        check_range("p", p, 0.5), check_range("eps", eps),
+        check_range("alpha", alpha, 0.5), check_range("beta", beta, 0.5),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +460,25 @@ class BinaryBounds:
     delta_max: float
 
 
+def binary_bec_bsc_bounds(p, eps, alpha, beta) -> BinaryBounds:
+    """``binary_bec_bsc_point`` over broadcast arrays, each entry range-checked
+    as in ``BinaryParams``; every field has the arguments' broadcast shape."""
+    p, eps, alpha, beta = _check_binary(p, eps, alpha, beta)
+    h_alpha = h2_unchecked(alpha)
+    ab = star_unchecked(alpha, beta)
+    return BinaryBounds(
+        r_a_min=eps * (1.0 - h_alpha),
+        d_min=eps * alpha,
+        delta_max=(eps * h_alpha + (1.0 - eps) * h2_unchecked(ab)
+                   - h2_unchecked(star_unchecked(p, ab)) + h2_unchecked(p)),
+    )
+
+
 def binary_bec_bsc_point(params: BinaryParams) -> BinaryBounds:
     """Closed-form region point for the uniform binary source with BEC/BSC
     side informations, at chain parameters (alpha, beta)."""
-    p, eps, alpha, beta = params.p, params.eps, params.alpha, params.beta
-    ab = star(alpha, beta)
-    return BinaryBounds(
-        r_a_min=eps * (1.0 - h2(alpha)),
-        d_min=eps * alpha,
-        delta_max=eps * h2(alpha) + (1.0 - eps) * h2(ab) - h2(star(p, ab)) + h2(p),
-    )
+    b = binary_bec_bsc_bounds(params.p, params.eps, params.alpha, params.beta)
+    return BinaryBounds(float(b.r_a_min), float(b.d_min), float(b.delta_max))
 
 
 def binary_wyner_ziv_point(p: float, eps: float, alpha: float) -> BinaryBounds:

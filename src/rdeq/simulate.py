@@ -33,6 +33,8 @@ _MAX_SAMPLE_ROUNDS = 500
 _PAIRS = 4096               # (codeword, row) pairs per typicality call in a codeword search
 _GATHER_FLOATS = 1 << 22    # factor-row floats gathered per equivocation GEMM (32 MiB)
 _WORK_BUDGET = 1 << 32      # default multiply-adds of exact equivocation (binary n = 16)
+_STATE_BUDGET = 1 << 24     # default source sequences enumerated for exact equivocation
+_TABLE_ROWS = 4096          # source sequences encoded per batch of the message table
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +496,8 @@ def message_equivocation(source: JointSource, n: int, j_of_seq: np.ndarray,
     return min(max(equiv, 0.0), h_a_e)
 
 
-def encoder_message_table(instance: CodeInstance, *, state_budget: int = 1 << 24,
-                          chunk: int = 4096) -> np.ndarray:
+def encoder_message_table(instance: CodeInstance, *,
+                          state_budget: int = _STATE_BUDGET) -> np.ndarray:
     """J for every source sequence a^n, as a flat table indexed by integer code."""
     n = instance.config.n
     na = instance.source.alphabet_sizes[0]
@@ -505,14 +507,14 @@ def encoder_message_table(instance: CodeInstance, *, state_budget: int = 1 << 24
             f"enumerating {n_seq} source sequences exceeds the budget of {state_budget}"
         )
     out = np.empty(n_seq, dtype=np.int64)
-    for lo in range(0, n_seq, chunk):
-        dig = _digits(np.arange(lo, min(lo + chunk, n_seq), dtype=np.int64), na, n)
+    for lo in range(0, n_seq, _TABLE_ROWS):
+        dig = _digits(np.arange(lo, min(lo + _TABLE_ROWS, n_seq), dtype=np.int64), na, n)
         out[lo:lo + dig.shape[0]] = instance._alice_message_batch(dig)
     return out
 
 
 def exact_equivocation(instance: CodeInstance, source: JointSource, *,
-                       state_budget: int = 1 << 24, work_budget: int = _WORK_BUDGET) -> float:
+                       state_budget: int = _STATE_BUDGET, work_budget: int = _WORK_BUDGET) -> float:
     """Exact H(A^n | J, E^n)/n of the realized code: J for all |A|^n source
     sequences (at most ``state_budget``), then ``message_equivocation``."""
     table = encoder_message_table(instance, state_budget=state_budget)
@@ -633,7 +635,7 @@ def run_experiment(
     *,
     workers: int = 1,
     compute_equivocation: bool = True,
-    state_budget: int = 1 << 24,
+    state_budget: int = _STATE_BUDGET,
     work_budget: int = _WORK_BUDGET,
     trace_path: str | None = None,
 ) -> SimReport:

@@ -120,6 +120,44 @@ def oracle_h2(x):
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
+def oracle_binary_delta(p, eps, alpha, beta):
+    """Delta of the BEC/BSC closed form at chain parameters (alpha, beta), term by term."""
+    ab = alpha * (1 - beta) + (1 - alpha) * beta
+    pab = p * (1 - ab) + (1 - p) * ab
+    return eps * oracle_h2(alpha) + (1 - eps) * oracle_h2(ab) - oracle_h2(pab) + oracle_h2(p)
+
+
+def oracle_binary_max(p, eps, d, rate_cap=None, beta_zero=False, points=101):
+    """Max of ``oracle_binary_delta`` over a points x points grid of the
+    feasible box, by a plain double loop; None when the box is empty.
+
+    The box is alpha in [a_lo, min(1/2, d/eps)] and beta in [0, 1/2] (beta = 0
+    only, when ``beta_zero``).  a_lo is 0, or under a rate cap below eps the
+    smallest alpha with eps (1 - h2(alpha)) <= rate_cap, found by bisection
+    and taken from the feasible side.  Both alpha ends are grid points.
+    """
+    a_hi = 0.5 if eps == 0 else min(0.5, d / eps)
+    a_lo = 0.0
+    if rate_cap is not None and rate_cap < eps:
+        lo, hi = 0.0, 0.5
+        while hi - lo > 1e-15:
+            mid = (lo + hi) / 2
+            if eps * (1 - oracle_h2(mid)) <= rate_cap:
+                hi = mid
+            else:
+                lo = mid
+        a_lo = hi
+    if a_lo > a_hi:
+        return None
+    alphas = [a_lo + (a_hi - a_lo) * i / (points - 1) for i in range(points - 1)] + [a_hi]
+    betas = [0.0] if beta_zero else [0.5 * j / (points - 1) for j in range(points)]
+    best = -math.inf
+    for a in alphas:
+        for b in betas:
+            best = max(best, oracle_binary_delta(p, eps, a, b))
+    return best
+
+
 def oracle_typical(seq, probs, delta):
     """Count typicality of one sequence: |N(x)/n - p(x)| <= delta for every
     symbol, and N(x) = 0 wherever p(x) = 0."""

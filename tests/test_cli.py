@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdeq import h2
 from rdeq.cli import main
@@ -268,6 +270,27 @@ def test_unread_flag_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return text != "h2p"
+    return False
+
+
+@given(st.sampled_from([
+    lambda t: ["binary", "--p", "0.1", "--eps", t, "--d", "0.01"],
+    lambda t: ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--rc", t, "--d", "0.2"],
+    lambda t: ["region", "--source", DATA, "--max-d", "0.3", "--caps", f"2,{t}"],
+    lambda t: ["lossless", "--source", DATA, "--rc-grid", f"0.5,{t}"],
+]), st.text(max_size=12).filter(_not_a_number))
+@settings(max_examples=200, deadline=None)
+def test_non_numeric_flag_is_a_usage_error(argv, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv(text))
+    assert exc.value.code == 2
 
 
 class TestReproduceCommand:

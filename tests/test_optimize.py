@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from _oracles import oracle_exhaustive
-from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2
+from _oracles import oracle_binary_delta, oracle_binary_max, oracle_exhaustive
+from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2, h2_inv
 from rdeq.probability import entropy, make_bec_bsc_source
 from rdeq.optimize import (
     FrontierPoint,
@@ -99,6 +99,37 @@ class TestBinaryFrontier:
     def test_bad_grid(self):
         with pytest.raises(ValidationError):
             binary_frontier(0.1, EPS_STAR, [0.2, 0.1])
+
+    @staticmethod
+    def check_against_plain_max(p, eps, d, rate_cap=None, beta_zero=False):
+        want = oracle_binary_max(p, eps, d, rate_cap, beta_zero)
+        pt = binary_frontier(p, eps, [d], rate_cap, force_beta_zero=beta_zero).points[0]
+        assert pt.feasible and want is not None
+        a, b = pt.params["alpha"], pt.params["beta"]
+        assert pt.point.delta >= max(0.0, want) - 1e-12
+        assert pt.point.delta == pytest.approx(max(0.0, oracle_binary_delta(p, eps, a, b)), abs=1e-12)
+        assert eps * a <= d + 1e-12 and 0.0 <= a <= 0.5 and 0.0 <= b <= 0.5
+        assert b == 0.0 or not beta_zero
+        return pt
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("eps", ["h2p", 0.3, 1.0])
+    def test_matches_plain_grid_maximum(self, p, eps):
+        # the nested grids reach at least the plain dense-grid maximum, at
+        # interior optima and at binding alpha ends (D = 0 pins alpha = 0 when eps > 0)
+        eps = h2(p) if eps == "h2p" else eps
+        for d in (0.0, 0.02, 0.1):
+            for beta_zero in (False, True):
+                self.check_against_plain_max(p, eps, d, beta_zero=beta_zero)
+
+    @pytest.mark.parametrize("p, eps", [(0.1, EPS_STAR), (0.3, h2(0.3)), (0.1, 1.0)])
+    def test_matches_plain_grid_maximum_under_binding_rate_cap(self, p, eps):
+        # the cap leaves alpha a sliver [h2_inv(0.2), 1.05 h2_inv(0.2)]
+        cap = 0.8 * eps
+        d = 1.05 * eps * h2_inv(0.2)
+        for beta_zero in (False, True):
+            pt = self.check_against_plain_max(p, eps, d, cap, beta_zero)
+            assert pt.params["alpha"] >= h2_inv(0.2) - 1e-12
 
 
 class TestGenericInnerFrontier:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,29 @@ class TestScalars:
     @settings(max_examples=200)
     def test_h2_symmetric(self, x):
         assert h2(x) == pytest.approx(h2(1.0 - x), abs=1e-12)
+
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=20))
+    @settings(max_examples=200)
+    def test_array_calls_equal_scalar_calls_bitwise(self, pairs):
+        a, b = np.array(pairs).T
+        assert h2(a).tolist() == [h2(float(x)) for x in a]
+        assert star(a, b).tolist() == [star(float(x), float(y)) for x, y in pairs]
+        assert star(a[:, None], b[None, :]).tolist() == [
+            [star(float(x), float(y)) for y in b] for x in a]
+
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=10), st.data(),
+           st.one_of(st.just(math.nan), st.floats(max_value=-1e-300),
+                     st.floats(min_value=1.0, exclude_min=True)))
+    def test_any_bad_entry_rejected(self, good, data, bad):
+        # NaN, negative or above-one entries anywhere in an array are rejected
+        x = np.array(good)
+        x[data.draw(st.integers(0, len(good) - 1))] = bad
+        with pytest.raises(ValidationError):
+            h2(x)
+        with pytest.raises(ValidationError):
+            star(x, 0.5)
+        with pytest.raises(ValidationError):
+            star(0.5, x)
 
 
 class TestChainRuleAndDataProcessing:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdeq import Channel, DistortionMeasure, JointSource, ValidationError, h2, make_bec_bsc_source
 from rdeq.regions import (
@@ -11,6 +13,7 @@ from rdeq.regions import (
     GaussianParams,
     RegionPoint,
     bec_bsc_reconstruction,
+    binary_bec_bsc_bounds,
     binary_bec_bsc_point,
     binary_chain_system,
     binary_wyner_ziv_point,
@@ -506,6 +509,28 @@ class TestBinaryClosedForm:
             BinaryParams(p=0.6, eps=0.3, alpha=0.1, beta=0.1)
         with pytest.raises(ValidationError):
             BinaryParams(p=0.1, eps=0.3, alpha=0.7, beta=0.1)
+
+    @given(st.floats(0, 0.5), st.floats(0, 1),
+           st.lists(st.floats(0, 0.5), min_size=1, max_size=8),
+           st.lists(st.floats(0, 0.5), min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_array_form_equals_point_calls_bitwise(self, p, eps, alphas, betas):
+        got = binary_bec_bsc_bounds(p, eps, np.array(alphas)[:, None], np.array(betas)[None, :])
+        for i, a in enumerate(alphas):
+            for j, b in enumerate(betas):
+                want = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=a, beta=b))
+                assert (got.r_a_min[i, j], got.d_min[i, j], got.delta_max[i, j]) == (
+                    want.r_a_min, want.d_min, want.delta_max)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-12, 0.5 + 1e-12])
+    @pytest.mark.parametrize("field", range(4))
+    def test_array_form_rejects_any_bad_entry(self, field, bad):
+        args = [np.full(5, 0.2) for _ in range(4)]
+        args[field][3] = bad
+        if field == 1 and bad > 0:  # eps may reach 1
+            args[field][3] = 1.0 + 1e-12
+        with pytest.raises(ValidationError):
+            binary_bec_bsc_bounds(*args)
 
 
 class TestBinaryChainVsInnerEvaluator:
