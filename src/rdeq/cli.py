@@ -83,8 +83,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:
-    if lo <= 0 or hi <= lo or points < 2:
-        raise ValidationError("need 0 < d-min < d-max and at least 2 points")
+    if not 0 < lo < hi < math.inf or points < 2:
+        raise ValidationError("need 0 < d-min < d-max < inf and at least 2 points")
     return [float(x) for x in np.geomspace(lo, hi, points)]
 
 
@@ -229,9 +229,12 @@ def _load_sim_config(path: str):
             raise ValidationError(f"simulate config {path} is not valid JSON: {err}") from None
     src_spec = _entry(obj, "source")
     if "bec_bsc" in src_spec:
-        p = float(_entry(src_spec["bec_bsc"], "p"))
-        eps = _entry(src_spec["bec_bsc"], "eps")
-        eps = h2(p) if eps == "h2p" else float(eps)
+        p, eps = (_entry(src_spec["bec_bsc"], key) for key in ("p", "eps"))
+        try:
+            p = float(p)
+            eps = h2(p) if eps == "h2p" else float(eps)
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"simulate config 'bec_bsc' entry: {err}") from None
         source = make_bec_bsc_source(p, eps)
     else:
         source = JointSource.from_json(json.dumps(src_spec))

@@ -7,15 +7,21 @@ Three search engines trace region frontiers:
   the best point so far.
 * ``generic_inner_frontier`` / ``lossless_frontier`` -- random multi-start
   coordinate ascent over channel rows for arbitrary discrete sources, under
-  the stated cardinality caps.  Results are lower bounds on the true frontier.
+  the stated cardinality caps, both on one engine (``_multistart``) over
+  raw rows.  Results are lower bounds on the true frontier.
 * ``brute_force_oracle`` -- exhaustive search over channels with rows on a
   simplex grid, for any alphabet sizes: one channel per output relabeling,
   the bounds factored along the Markov chain and W columns pruned by an upper
   bound; exact in float64 within grid resolution, used to validate the ascent.
 
+The ascent and the oracle share one feasibility rule (``_violation``), one
+capped Delta (``_capped``) and one checked winner-to-point path
+(``_inner_point``).
+
 All searches are deterministic for a fixed seed, independent of worker count:
 work is split into fixed-size shards and reduced with a stable tie-break
-(smallest serialized candidate wins among equal objectives).
+(among equal objectives the smallest key wins: a start's serialized channels,
+or an oracle system's grid index).
 
 Random stochastic rows are sampled as normalized exponential draws
 (equivalently Dirichlet(1, ..., 1)): ``e = rng.exponential(size=k); e / sum``.
@@ -23,6 +29,7 @@ Random stochastic rows are sampled as normalized exponential draws
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -40,6 +47,7 @@ from .regions import (
     SubsetEntropies,
     binary_bec_bsc_bounds,
     binary_bec_bsc_point,
+    _lossless,
     inner_bounds_of_joint,
     lossless_region_point,
 )
@@ -129,8 +137,8 @@ class RegionConstraints:
     max_d: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.max_r_a < 0 or self.max_r_c < 0 or self.max_d < 0:
-            raise ValidationError(f"constraints must be non-negative: {self}")
+        if not (self.max_r_a >= 0 and self.max_r_c >= 0 and self.max_d >= 0):
+            raise ValidationError(f"constraints must be non-negative numbers: {self}")
 
 
 @dataclass(frozen=True)
@@ -292,13 +300,15 @@ def binary_frontier(
     ``force_beta_zero`` restricts to the single-layer (Wyner-Ziv) family.
     """
     BinaryParams(p=p, eps=eps, alpha=0.0, beta=0.0)  # validate ranges
+    if rate_cap is not None and not rate_cap >= 0.0:
+        raise ValidationError(f"rate_cap must be a non-negative number, got {rate_cap}")
     d_grid = [float(x) for x in d_grid]
     if any(b < a for a, b in zip(d_grid, d_grid[1:])):
         raise ValidationError("d_grid must be nondecreasing")
     points = []
     for d in d_grid:
-        if d < -SLACK:
-            raise ValidationError(f"distortion must be non-negative, got {d}")
+        if not d >= -SLACK:
+            raise ValidationError(f"distortion must be a non-negative number, got {d}")
         rng_box = _binary_alpha_range(eps, max(d, 0.0), rate_cap)
         if rng_box is None:
             points.append(FrontierPoint(sweep=d, feasible=False, point=None, params={}))
@@ -400,12 +410,12 @@ def _system_bounds(source: JointSource, d: DistortionMeasure, uv, va, wc
 _INFEASIBLE_BASE = -1e6
 
 
-def _violation(bounds: InnerBounds, cons: RegionConstraints) -> float:
-    v = max(0.0, bounds.d_min - cons.max_d)
-    v += max(0.0, bounds.r_a_min - cons.max_r_a)
-    v += max(0.0, bounds.r_c_min - cons.max_r_c)
-    v += max(0.0, bounds.sum_min - cons.max_r_a - cons.max_r_c)
-    return v
+def _violation(d_min, r_a, r_c, r_sum, cons: RegionConstraints):
+    """Total excess of the D, R_A, R_C and R_A + R_C bounds over the caps
+    of ``cons``; works on floats and, elementwise, on arrays."""
+    return (np.maximum(d_min - cons.max_d, 0.0) + np.maximum(r_a - cons.max_r_a, 0.0)
+            + np.maximum(r_c - cons.max_r_c, 0.0)
+            + np.maximum(r_sum - cons.max_r_a - cons.max_r_c, 0.0))
 
 
 def _capped(delta_max, delta_minus_rc_max, cons: RegionConstraints):
@@ -423,7 +433,8 @@ def _score(bounds: InnerBounds, constraints: RegionConstraints) -> float:
     ``_INFEASIBLE_BASE - violation`` so the ascent first descends the
     constraint violation and then maximizes Delta.
     """
-    violation = _violation(bounds, constraints)
+    violation = float(_violation(bounds.d_min, bounds.r_a_min, bounds.r_c_min, bounds.sum_min,
+                                 constraints))
     if violation > SLACK:
         return _INFEASIBLE_BASE - violation
     return max(0.0, float(_capped(bounds.delta_max, bounds.delta_minus_rc_max, constraints)))
@@ -508,58 +519,19 @@ def _random_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _generic_start_worker(args):
-    """One multi-start ascent; module-level so process pools can pickle it."""
-    source, d, shapes, fixed_rows, cons, seed, cons_idx, start_idx = args
-    rng = np.random.default_rng(np.random.SeedSequence((seed, cons_idx, start_idx)))
-    structured = start_idx if start_idx < 3 else None
-    chans = _start_channels(rng, shapes, structured)
-
-    def eval_fn(cs):
-        uv, va = cs[0], cs[1]
-        wc = cs[2] if fixed_rows is None else fixed_rows
-        return _score(_system_bounds(source, d, uv, va, wc)[0], cons)
-
-    val, chans = _ascend(eval_fn, chans, rng)
-    return val, _key(chans), [c.copy() for c in chans]
-
-
-def _lossless_start_worker(args):
-    source, nu, r_c, seed, start_idx = args
-    na = source.alphabet_sizes[0]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 991, start_idx)))
-    if start_idx == 0:  # U = A embedding
-        ch = np.zeros((na, nu))
-        ch[np.arange(na), np.arange(na) % nu] = 1.0
-    elif start_idx == 1:  # degenerate U
-        ch = np.zeros((na, nu))
-        ch[:, 0] = 1.0
-    else:
-        ch = _random_rows(rng, na, nu)
-    chans = [ch]
-
-    def eval_fn(cs):
-        b = lossless_region_point(source, Channel(cs[0]))
-        if b.r_c_min > r_c + SLACK:
-            return _INFEASIBLE_BASE - (b.r_c_min - r_c)
-        return max(0.0, b.delta_max)
-
-    val, chans = _ascend(eval_fn, chans, rng)
-    return val, _key(chans), [c.copy() for c in chans]
-
-
-def _start_channels(rng, shapes, structured_idx: int | None):
-    """One multi-start initialization; a few starts are structured corners."""
+def _start_channels(rng, shapes, corner: str | None):
+    """One multi-start initialization: a structured ``corner`` or, for
+    ``None``, random rows."""
     chans = []
     for si, (n_rows, n_cols) in enumerate(shapes):
-        if structured_idx == 0:  # degenerate: all rows point at symbol 0
+        if corner == "degenerate":  # all rows point at symbol 0
             ch = np.zeros((n_rows, n_cols))
             ch[:, 0] = 1.0
-        elif structured_idx == 1:  # as deterministic as the shape allows
+        elif corner == "diagonal":  # as deterministic as the shape allows
             ch = np.zeros((n_rows, n_cols))
             for r in range(n_rows):
                 ch[r, r % n_cols] = 1.0
-        elif structured_idx == 2 and si == 0:  # noisy identity on first channel
+        elif corner == "noisy" and si == 0:  # noisy identity on first channel
             ch = np.full((n_rows, n_cols), 0.1 / max(1, n_cols - 1))
             for r in range(n_rows):
                 ch[r, r % n_cols] = 0.9
@@ -568,6 +540,36 @@ def _start_channels(rng, shapes, structured_idx: int | None):
             ch = _random_rows(rng, n_rows, n_cols)
         chans.append(ch)
     return chans
+
+
+def _start_worker(objective, shapes, corners, seed_key, start_idx):
+    """One ascent of ``objective`` from ``corners[start_idx]`` (random rows
+    past the last corner) on the stream ``(*seed_key, start_idx)``; module-
+    level, as are the objectives, so process pools can pickle it."""
+    rng = np.random.default_rng(np.random.SeedSequence((*seed_key, start_idx)))
+    corner = corners[start_idx] if start_idx < len(corners) else None
+    val, chans = _ascend(objective, _start_channels(rng, shapes, corner), rng)
+    return val, _key(chans), [c.copy() for c in chans]
+
+
+def _multistart(objective, shapes, corners, seed_key, n_starts: int, workers: int):
+    """The ``_better``-best (value, key, channels) over ``n_starts`` ascents."""
+    worker = functools.partial(_start_worker, objective, shapes, corners, seed_key)
+    return _best(parallel_map(worker, range(n_starts), workers))
+
+
+def _inner_objective(source, d, fixed_rows, cons, chans) -> float:
+    """``_score`` of the system ``chans`` = (p(u|v), p(v|a)[, p(w|c)])."""
+    wc = chans[2] if fixed_rows is None else fixed_rows
+    return _score(_system_bounds(source, d, chans[0], chans[1], wc)[0], cons)
+
+
+def _lossless_objective(source, r_c, chans) -> float:
+    """Lossless Delta of the helper ``chans[0]`` = p(u|a), scored as in ``_score``."""
+    b = _lossless(source, chans[0])[0]
+    if b.r_c_min > r_c + SLACK:
+        return _INFEASIBLE_BASE - (b.r_c_min - r_c)
+    return max(0.0, b.delta_max)
 
 
 def generic_inner_frontier(
@@ -580,7 +582,6 @@ def generic_inner_frontier(
     n_starts: int = 64,
     seed: int = 0,
     workers: int = 1,
-    allow_cap_override: bool = False,
 ) -> FrontierResult:
     """Best inner-region equivocation under each constraint setting.
 
@@ -591,10 +592,8 @@ def generic_inner_frontier(
     na, nc, _ = source.alphabet_sizes
     cap_u, cap_v, cap_w = caps if caps is not None else prop1_caps(source)
     p1 = prop1_caps(source)
-    if not allow_cap_override and (cap_u > p1[0] or cap_v > p1[1] or cap_w > p1[2]):
-        raise ValidationError(
-            f"caps {caps} exceed the sufficient bounds {p1}; pass allow_cap_override=True"
-        )
+    if cap_u > p1[0] or cap_v > p1[1] or cap_w > p1[2]:
+        raise ValidationError(f"caps {caps} exceed the sufficient bounds {p1}")
     if fixed_w_given_c is not None and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
 
@@ -605,35 +604,11 @@ def generic_inner_frontier(
 
     points = []
     for idx, cons in enumerate(constraints):
-        args = [
-            (source, d, shapes, fixed_rows, cons, seed, idx, s) for s in range(n_starts)
-        ]
-        val, _, chans = _best(parallel_map(_generic_start_worker, args, workers))
-        if val <= _INFEASIBLE_BASE / 2:
-            points.append(FrontierPoint(sweep=float(idx), feasible=False, point=None, params={}))
-            continue
-        uv, va = chans[0], chans[1]
-        wc = chans[2] if fixed_w_given_c is None else fixed_w_given_c.rows
-        bounds, recon = _system_bounds(source, d, uv, va, wc)
-        delta = _score(bounds, cons)
-        if abs(delta - val) > 1e-9:
-            raise RuntimeError("optimizer result failed re-validation")
-        point = _assemble_point(bounds, delta, cons)
-        if not bounds.admits(point, tol=1e-7):
-            raise RuntimeError("assembled frontier point not admitted by its own bounds")
-        points.append(
-            FrontierPoint(
-                sweep=float(idx),
-                feasible=True,
-                point=point,
-                params={
-                    "u_given_v": uv.tolist(),
-                    "v_given_a": va.tolist(),
-                    "w_given_c": np.asarray(wc).tolist(),
-                    "reconstruction": recon.tolist(),
-                },
-            )
-        )
+        objective = functools.partial(_inner_objective, source, d, fixed_rows, cons)
+        val, _, chans = _multistart(objective, shapes, ("degenerate", "diagonal", "noisy"),
+                                    (seed, idx), n_starts, workers)
+        system = (chans[0], chans[1], chans[2] if fixed_rows is None else fixed_rows)
+        points.append(_inner_point(source, d, idx, cons, val, system))
     return FrontierResult(
         tuple(points),
         provenance={
@@ -652,8 +627,38 @@ def _assemble_point(bounds: InnerBounds, delta: float, cons: RegionConstraints) 
     r_a = bounds.r_a_min
     if math.isfinite(cons.max_r_c):
         r_a = max(r_a, bounds.sum_min - cons.max_r_c)
-    r_c = max(bounds.r_c_min, bounds.sum_min - r_a, delta - bounds.delta_minus_rc_max)
+    r_c = max(bounds.r_c_min, bounds.sum_min - r_a)
+    if delta > 0.0:  # Delta = 0 needs no Delta row (``InnerBounds.admits``)
+        r_c = max(r_c, delta - bounds.delta_minus_rc_max)
     return RegionPoint(r_a, r_c, bounds.d_min, max(0.0, delta))
+
+
+def _inner_point(source, d, idx: int, cons: RegionConstraints, val: float, system
+                 ) -> FrontierPoint:
+    """The frontier point of a search's winning ``system`` (p(u|v), p(v|a),
+    p(w|c)) of value ``val`` (infeasible at most ``_INFEASIBLE_BASE / 2``),
+    re-evaluated; a value off by 1e-9 or a point its bounds reject raises."""
+    if val <= _INFEASIBLE_BASE / 2:
+        return FrontierPoint(sweep=float(idx), feasible=False, point=None, params={})
+    uv, va, wc = system
+    bounds, recon = _system_bounds(source, d, uv, va, wc)
+    delta = _score(bounds, cons)
+    if abs(delta - val) > 1e-9:
+        raise RuntimeError("search result failed re-validation")
+    point = _assemble_point(bounds, delta, cons)
+    if not bounds.admits(point, tol=1e-7):
+        raise RuntimeError("assembled frontier point not admitted by its own bounds")
+    return FrontierPoint(
+        sweep=float(idx),
+        feasible=True,
+        point=point,
+        params={
+            "u_given_v": uv.tolist(),
+            "v_given_a": va.tolist(),
+            "w_given_c": np.asarray(wc).tolist(),
+            "reconstruction": recon.tolist(),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,18 +669,17 @@ def lossless_frontier(
     source: JointSource,
     r_c_grid,
     *,
-    u_size: int | None = None,
     n_starts: int = 64,
     seed: int = 0,
     workers: int = 1,
 ) -> FrontierResult:
     """Best lossless equivocation I(A;C|U) - I(A;E|U) for each helper rate R_C.
 
-    The helper cardinality defaults to |A| + 2; the exact sufficient size for
-    the lossless problem is unresolved, so the cap is heuristic.
+    The helper cardinality is |A| + 2; the exact sufficient size for the
+    lossless problem is unresolved, so the cap is heuristic.
     """
     na = source.alphabet_sizes[0]
-    nu = u_size if u_size is not None else na + 2
+    nu = na + 2
     pac = source.p_ac()
     h_ac = entropy_unchecked(pac)
     h_a = entropy_unchecked(source.p_a())
@@ -684,8 +688,8 @@ def lossless_frontier(
     h_c_a = h_ac - h_a
 
     r_c_grid = [float(x) for x in r_c_grid]
-    if any(b < a for a, b in zip(r_c_grid, r_c_grid[1:])):
-        raise ValidationError("r_c_grid must be nondecreasing")
+    if any(math.isnan(x) for x in r_c_grid) or any(b < a for a, b in zip(r_c_grid, r_c_grid[1:])):
+        raise ValidationError(f"r_c_grid must be nondecreasing numbers, got {r_c_grid}")
 
     points = []
     for r_c in r_c_grid:
@@ -693,8 +697,9 @@ def lossless_frontier(
             points.append(FrontierPoint(sweep=r_c, feasible=False, point=None, params={}))
             continue
 
-        args = [(source, nu, r_c, seed, s) for s in range(n_starts)]
-        val, _, chans = _best(parallel_map(_lossless_start_worker, args, workers))
+        objective = functools.partial(_lossless_objective, source, r_c)
+        val, _, chans = _multistart(objective, [(na, nu)], ("diagonal", "degenerate"),
+                                    (seed, 991), n_starts, workers)
         if val <= _INFEASIBLE_BASE / 2:
             points.append(FrontierPoint(sweep=r_c, feasible=False, point=None, params={}))
             continue
@@ -856,12 +861,7 @@ def _oracle_shard(args):
     r_sum = np.maximum(h_vw - h_v_a[:, None] - h_w_c, 0.0)
     x = h_v_a[:, None] + (h_w_a + h_a) - h_vw  # H(A|V,W)
     y = (h_a + h_v_a - h_v)[:, None] - r_c  # H(A|V) - R_C
-    feasible = [  # the violation of _violation, against the SLACK of _score
-        np.maximum(d_min - c.max_d, 0.0) + np.maximum(r_a - c.max_r_a, 0.0)
-        + np.maximum(r_c - c.max_r_c, 0.0) + np.maximum(r_sum - c.max_r_a - c.max_r_c, 0.0)
-        <= SLACK
-        for c in cons_list
-    ]
+    feasible = [_violation(d_min, r_a, r_c, r_sum, c) <= SLACK for c in cons_list]
     # each column's objective bound for g = 0; a g shifts it by g
     ub = [_capped(x + np.maximum(h_w - h_w_a, 0.0), y, c) for c in cons_list]
     best = [None] * len(cons_list)
@@ -944,37 +944,16 @@ def brute_force_oracle(
     shards = [(lo, grids[0][lo:lo + chunk], grids[1], grids[2], source, d, cons_list)
               for lo in range(0, len(grids[0]), chunk)]
     shard_bests = parallel_map(_oracle_shard, shards, workers)
-    points = [
-        _oracle_point(source, d, grids, _best(sb[ci] for sb in shard_bests), ci, cons)
-        for ci, cons in enumerate(cons_list)
-    ]
+    points = []
+    for ci, cons in enumerate(cons_list):
+        best = _best(sb[ci] for sb in shard_bests)  # None: no feasible system
+        val, (vi, ui, wi) = (-math.inf, (0, 0, 0)) if best is None else best
+        system = (grids[1][ui], grids[0][vi], grids[2][wi])
+        points.append(_inner_point(source, d, ci, cons, val, system))
     return FrontierResult(
         tuple(points),
         provenance={"method": "exhaustive", "step": 1.0 / m, "caps": list(caps),
                     "grid_sizes": sizes},
-    )
-
-
-def _oracle_point(source, d, grids, best, idx, cons) -> FrontierPoint:
-    """One constraint's winner, re-evaluated through ``_system_bounds``."""
-    if best is None:
-        return FrontierPoint(sweep=float(idx), feasible=False, point=None, params={})
-    val, (vi, ui, wi) = best
-    va, uv, wc = grids[0][vi], grids[1][ui], grids[2][wi]
-    bounds, recon = _system_bounds(source, d, uv, va, wc)
-    delta = _score(bounds, cons)
-    if abs(delta - val) > 1e-9:
-        raise RuntimeError("oracle result failed re-validation")
-    return FrontierPoint(
-        sweep=float(idx),
-        feasible=True,
-        point=_assemble_point(bounds, delta, cons),
-        params={
-            "u_given_v": uv.tolist(),
-            "v_given_a": va.tolist(),
-            "w_given_c": wc.tolist(),
-            "reconstruction": recon.tolist(),
-        },
     )
 
 

@@ -154,6 +154,10 @@ class InnerBounds:
     A tuple is a member at this system iff
         R_A >= r_a_min,  R_C >= r_c_min,  R_A + R_C >= sum_min,
         D >= d_min,  Delta <= delta_max,  Delta - R_C <= delta_minus_rc_max.
+
+    ``admits`` checks the Delta rows only for Delta > 0: U enters no other
+    row, and with U = V they read Delta <= H(A|V,E) and Delta - R_C <=
+    H(A|V,E) - I(W;C|V), so such a tuple is a member at that system.
     """
 
     r_a_min: float
@@ -169,8 +173,10 @@ class InnerBounds:
             and point.r_c >= self.r_c_min - tol
             and point.r_a + point.r_c >= self.sum_min - tol
             and point.d >= self.d_min - tol
-            and point.delta <= self.delta_max + tol
-            and point.delta - point.r_c <= self.delta_minus_rc_max + tol
+            and (point.delta <= 0.0 or (
+                point.delta <= self.delta_max + tol
+                and point.delta - point.r_c <= self.delta_minus_rc_max + tol
+            ))
         )
 
 
@@ -367,11 +373,13 @@ def uncoded_region_point_alt(
 # distributed lossless compression
 # ---------------------------------------------------------------------------
 
-def _lossless(source: JointSource, u_given_a: Channel) -> tuple[LosslessBounds, SubsetEntropies]:
-    """The bounds and the entropies of p(u, a, c, e), axes in that order."""
-    if u_given_a.input_size != source.alphabet_sizes[0]:
+def _lossless(source: JointSource, u_given_a: np.ndarray
+              ) -> tuple[LosslessBounds, SubsetEntropies]:
+    """The bounds and the entropies of p(u, a, c, e), axes in that order, from
+    raw rows p(u|a): the helper search calls it per move, without a ``Channel``."""
+    if u_given_a.shape[0] != source.alphabet_sizes[0]:
         raise ValidationError("u_given_a input size must match |A|")
-    h = SubsetEntropies(np.einsum("au,ace->uace", u_given_a.rows, source.probs))
+    h = SubsetEntropies(np.einsum("au,ace->uace", u_given_a, source.probs))
     bounds = LosslessBounds(
         r_a_min=h.cond((1,), (2,)),
         r_c_min=h.cond((2,), (0,)),
@@ -383,12 +391,12 @@ def _lossless(source: JointSource, u_given_a: Channel) -> tuple[LosslessBounds, 
 
 def lossless_region_point(source: JointSource, u_given_a: Channel) -> LosslessBounds:
     """Exact compression-equivocation region at one helper variable U."""
-    return _lossless(source, u_given_a)[0]
+    return _lossless(source, u_given_a.rows)[0]
 
 
 def lossless_region_point_alt(source: JointSource, u_given_a: Channel) -> LosslessBounds:
     """Alternative rate form: R_A >= [I(U;C) - I(U;E)]_+ + H(A|C)."""
-    base, h = _lossless(source, u_given_a)
+    base, h = _lossless(source, u_given_a.rows)
     extra = positive_part(h.cmi((0,), (2,)) - h.cmi((0,), (3,)))
     return LosslessBounds(
         r_a_min=extra + base.r_a_min,
@@ -410,11 +418,17 @@ class GaussianBounds:
     delta_max: float
 
 
-def _gaussian_sigma2(rho_c: float, r_c: float) -> float:
-    """Var(A | best rate-r_c description of C) = 1 - rho_c^2 + rho_c^2 2^(-2 r_c)."""
-    if math.isinf(r_c):
-        return 1.0 - rho_c * rho_c
-    return 1.0 - rho_c * rho_c + rho_c * rho_c * 2.0 ** (-2.0 * r_c)
+def _gaussian_rate(rho_c: float, r_c: float, d: float) -> tuple[float, float]:
+    """(sigma2, R_A bound) at (R_C, D), with sigma2 = Var(A | best rate-r_c
+    description of C) = 1 - rho_c^2 + rho_c^2 2^(-2 r_c); NaN is rejected."""
+    if not 0.0 < d < math.inf:
+        raise ValidationError(f"distortion must be positive and finite, got {d}")
+    if not r_c >= 0.0:
+        raise ValidationError(f"R_C must be non-negative, got {r_c}")
+    sigma2 = 1.0 - rho_c * rho_c
+    if not math.isinf(r_c):
+        sigma2 += rho_c * rho_c * 2.0 ** (-2.0 * r_c)
+    return sigma2, positive_part(0.5 * math.log2(sigma2 / d))
 
 
 def gaussian_inner(params: GaussianParams, r_c: float, d: float) -> GaussianBounds:
@@ -423,12 +437,7 @@ def gaussian_inner(params: GaussianParams, r_c: float, d: float) -> GaussianBoun
     ``r_c`` may be ``math.inf`` (uncoded side information at Bob).  Delta is in
     bits with the differential-entropy convention and may be negative.
     """
-    if d <= 0.0:
-        raise ValidationError(f"distortion must be positive, got {d}")
-    if r_c < 0.0:
-        raise ValidationError(f"R_C must be non-negative, got {r_c}")
-    sigma2 = _gaussian_sigma2(params.rho_c, r_c)
-    rate = positive_part(0.5 * math.log2(sigma2 / d))
+    sigma2, rate = _gaussian_rate(params.rho_c, r_c, d)
     one_minus_rho_e2 = 1.0 - params.rho_e * params.rho_e
     eve_term = 0.5 * math.log2(
         1.0 + one_minus_rho_e2 * positive_part(1.0 / d - 1.0 / sigma2)
@@ -439,13 +448,8 @@ def gaussian_inner(params: GaussianParams, r_c: float, d: float) -> GaussianBoun
 
 def gaussian_optimal_no_eve_si(rho_c: float, r_c: float, d: float) -> GaussianBounds:
     """Exact region when the eavesdropper has no side information (rho_e = 0)."""
-    params = GaussianParams(rho_c=rho_c, rho_e=0.0)
-    if d <= 0.0:
-        raise ValidationError(f"distortion must be positive, got {d}")
-    if r_c < 0.0:
-        raise ValidationError(f"R_C must be non-negative, got {r_c}")
-    sigma2 = _gaussian_sigma2(params.rho_c, r_c)
-    rate = positive_part(0.5 * math.log2(sigma2 / d))
+    GaussianParams(rho_c=rho_c, rho_e=0.0)  # validate rho_c
+    _, rate = _gaussian_rate(rho_c, r_c, d)
     return GaussianBounds(r_a_min=rate, delta_max=0.5 * LOG2_2PIE - rate)
 
 

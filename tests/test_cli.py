@@ -293,6 +293,54 @@ def test_non_numeric_flag_is_a_usage_error(argv, text):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["binary", "--p", "0.1", "--eps", "h2p", "--d", "nan"],
+    ["binary", "--p", "0.1", "--eps", "h2p", "--d", "0.01", "--rate-cap", "nan"],
+    ["binary", "--p", "0.1", "--eps", "h2p", "--d-min", "nan"],
+    ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--d", "nan"],
+    ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--rc", "nan", "--d", "0.2"],
+    ["region", "--source", DATA, "--max-d", "nan", "--starts", "1"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--max-ra", "nan", "--starts", "1"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--max-rc", "nan", "--starts", "1"],
+    ["lossless", "--source", DATA, "--rc-grid", "nan", "--starts", "1"],
+    ["lossless", "--source", DATA, "--rc-grid", "0.5,nan", "--starts", "1"],
+    ["binary", "--p", "0.1", "--eps", "h2p", "--d-max", "inf"],
+    ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--d", "inf"],
+    ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--d-max", "inf"],
+])
+def test_nan_or_infinite_flag_is_a_validation_error(argv, capsys):
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "validation error" in err
+
+
+def test_infinite_caps_are_accepted(capsys):
+    # --max-ra and --max-rc default to inf; inf may also be passed
+    for extra in ([], ["--max-rc", "inf"]):
+        rc, out, _ = run_cli(["region", "--source", DATA, "--max-d", "0.3", "--caps", "2,2,2",
+                              "--starts", "1", "--format", "json", *extra], capsys)
+        assert rc == 0
+        cons = json.loads(out)["provenance"]["constraints"][0]
+        assert cons["max_r_a"] == cons["max_r_c"] == float("inf")
+
+
+def _sim_config_with(tmp_path, key, value):
+    cfg = json.loads(Path(sweep_sim_config(tmp_path)).read_text())
+    cfg["source"]["bec_bsc"][key] = value
+    path = tmp_path / "sim_value.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@given(st.sampled_from(["p", "eps"]),
+       st.one_of(st.text(max_size=12).filter(_not_a_number), st.none(),
+                 st.lists(st.integers(), max_size=2)))
+@settings(max_examples=100, deadline=None)
+def test_non_numeric_simulate_source_entry_exits_2(tmp_path_factory, key, value):
+    path = _sim_config_with(tmp_path_factory.mktemp("sim"), key, value)
+    assert main(["simulate", "--config", path]) == 2
+
+
 class TestReproduceCommand:
     def test_table3(self, capsys):
         rc, out, _ = run_cli(["reproduce", "table3"], capsys)

@@ -4,17 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from _oracles import oracle_binary_delta, oracle_binary_max, oracle_exhaustive
 from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2, h2_inv
 from rdeq.probability import entropy, make_bec_bsc_source
 from rdeq.optimize import (
+    _INFEASIBLE_BASE,
+    SLACK,
     FrontierPoint,
     FrontierResult,
     RegionConstraints,
     _channel_count,
     _channel_grid,
+    _lossless_objective,
+    _violation,
     binary_frontier,
     binary_merge_threshold,
     brute_force_oracle,
@@ -23,7 +29,13 @@ from rdeq.optimize import (
     lossless_frontier,
     prop1_caps,
 )
-from rdeq.regions import RegionPoint
+from rdeq.regions import (
+    AuxiliarySystem,
+    RegionPoint,
+    _lossless,
+    inner_bound_point,
+    lossless_region_point,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -516,3 +528,79 @@ class TestInfeasibleReporting:
         assert oracle_exhaustive(src.probs, HAMMING2.table, (2, 2, 2), 0.25, impossible) == [None]
         assert not generic_inner_frontier(src, HAMMING2, (2, 2, 2), impossible,
                                           n_starts=4, seed=0).points[0].feasible
+
+
+class TestZeroDeltaPoints:
+    """A winner whose capped Delta is at most 0 is reported with Delta = 0 at
+    the least R_C its rate rows allow.  That point is a region member at the
+    winner's system with U replaced by V, whose Delta rows read
+    Delta <= H(A|V,E) and Delta - R_C <= H(A|V,E) - I(W;C|V)."""
+
+    @staticmethod
+    def check(src, fp):
+        prm, pt = fp.params, fp.point
+        va, wc = Channel(prm["v_given_a"]), Channel(prm["w_given_c"])
+        recon = np.asarray(prm["reconstruction"])
+        own = inner_bound_point(src, HAMMING2,
+                                AuxiliarySystem(Channel(prm["u_given_v"]), va, wc, recon))
+        u_is_v = inner_bound_point(src, HAMMING2,
+                                   AuxiliarySystem(Channel.identity(va.output_size), va, wc, recon))
+        assert fp.feasible and pt.delta == 0.0
+        assert own.delta_max < 0.0  # the winner's own Delta rows reject the point
+        assert pt.r_c == max(own.r_c_min, own.sum_min - pt.r_a)
+        t = 1e-9
+        assert pt.r_a >= u_is_v.r_a_min - t and pt.r_c >= u_is_v.r_c_min - t
+        assert pt.r_a + pt.r_c >= u_is_v.sum_min - t and pt.d >= u_is_v.d_min - t
+        assert pt.delta <= u_is_v.delta_max + t
+        assert pt.delta - pt.r_c <= u_is_v.delta_minus_rc_max + t
+
+    def test_ascent(self):
+        src = JointSource.from_json_file(str(DATA_DIR / "source_b.json"))
+        cons = (RegionConstraints(max_r_c=0.0, max_d=0.0),)
+        res = generic_inner_frontier(src, HAMMING2, (2, 2, 2), cons, n_starts=4, seed=0)
+        self.check(src, res.points[0])
+
+    def test_oracle(self):
+        src = JointSource.from_json_file(str(DATA_DIR / "source_b.json"))
+        cons = (RegionConstraints(max_d=0.2), RegionConstraints(max_r_a=0.3, max_d=0.25),
+                RegionConstraints(max_r_c=0.25, max_d=0.25))
+        res = brute_force_oracle(src, HAMMING2, (2, 2, 3), 1.0, cons)
+        self.check(src, res.points[2])
+
+
+_CONSTRAINT_SETS = [
+    RegionConstraints(), RegionConstraints(max_d=0.2), RegionConstraints(max_r_c=0.0),
+    RegionConstraints(max_r_a=0.3, max_r_c=0.1, max_d=0.5),
+]
+
+
+@given(st.lists(st.tuples(*[st.floats(-1.0, 2.0)] * 4), min_size=1, max_size=8),
+       st.sampled_from(_CONSTRAINT_SETS))
+@settings(max_examples=200, deadline=None)
+def test_violation_on_arrays_equals_scalar_calls(rows, cons):
+    got = _violation(*np.array(rows).T, cons)
+    for i, row in enumerate(rows):
+        assert got[i] == _violation(*row, cons)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_raw_row_lossless_objective_matches_validated_channel(data):
+    na, nu, nc, ne = (data.draw(st.integers(2, 4)) for _ in range(4))
+
+    def weights(shape, lo):
+        w = data.draw(st.lists(st.integers(lo, 4), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        return np.array(w, dtype=float).reshape(shape)
+
+    probs = weights((na, nc, ne), 1)
+    src = JointSource(probs / probs.sum())
+    rows = weights((na, nu), 0)
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    want = lossless_region_point(src, Channel(rows))
+    assert _lossless(src, rows)[0] == want
+    r_c = data.draw(st.floats(0.0, 2.0))
+    score = (max(0.0, want.delta_max) if want.r_c_min <= r_c + SLACK
+             else _INFEASIBLE_BASE - (want.r_c_min - r_c))
+    assert _lossless_objective(src, r_c, [rows]) == score
