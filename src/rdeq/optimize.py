@@ -16,7 +16,10 @@ Three search engines trace region frontiers:
 
 The ascent and the oracle share one feasibility rule (``_violation``), one
 capped Delta (``_capped``) and one checked winner-to-point path
-(``_inner_point``).
+(``_inner_point``).  The ascents and the lossless search read every entropy
+from ``probability.SubsetEntropies``.  The oracle's ``_block_entropy`` is
+the one exception: its elementwise chains keep each oracle value
+independent of the block it is computed in.
 
 All searches are deterministic for a fixed seed, independent of worker count:
 work is split into fixed-size shards and reduced with a stable tie-break
@@ -39,12 +42,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .probability import Channel, DistortionMeasure, JointSource, entropy_unchecked, h2_inv
+from .probability import (
+    Channel,
+    DistortionMeasure,
+    JointSource,
+    SubsetEntropies,
+    entropy_unchecked,
+    h2_inv,
+)
 from .regions import (
     BinaryParams,
     InnerBounds,
     RegionPoint,
-    SubsetEntropies,
     binary_bec_bsc_bounds,
     binary_bec_bsc_point,
     _lossless,
@@ -680,12 +689,8 @@ def lossless_frontier(
     """
     na = source.alphabet_sizes[0]
     nu = na + 2
-    pac = source.p_ac()
-    h_ac = entropy_unchecked(pac)
-    h_a = entropy_unchecked(source.p_a())
-    h_c = entropy_unchecked(source.p_c())
-    h_a_c = h_ac - h_c
-    h_c_a = h_ac - h_a
+    h = SubsetEntropies(source.probs)  # axes (a, c, e)
+    h_ac, h_a_c, h_c_a = h(0, 1), h.cond((0,), (1,)), h.cond((1,), (0,))
 
     r_c_grid = [float(x) for x in r_c_grid]
     if any(math.isnan(x) for x in r_c_grid) or any(b < a for a, b in zip(r_c_grid, r_c_grid[1:])):

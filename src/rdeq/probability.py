@@ -5,14 +5,22 @@ scalar primitives used by every other module: binary entropy, the binary
 convolution a*b = a(1-b) + (1-a)b, and composition of the auxiliary-variable
 joint p(u,v,w,a,c,e).
 
+``SubsetEntropies`` is the one engine that turns a table into marginals,
+entropies, conditional entropies and (conditional) mutual informations; the
+validated ``entropy``, ``mutual_information``, ``conditional_entropy`` and
+``conditional_mi`` check their table and make one call into it, and every
+region evaluator and search reads its quantities from it.
+
 Conventions
 -----------
 * All rates and entropies are in bits.
 * 0 log 0 = 0; zero-mass cells are skipped rather than special-cased.
 * Dense ndarray tables everywhere; target alphabets are tiny.
-* Distributions must be normalized to 1 within ``NORM_TOL`` at construction.
-* Information quantities are clamped to 0 if they round slightly negative
-  (more negative than ``NEG_TOL`` raises, since that signals a real bug).
+* Distributions must be normalized to 1 within ``NORM_TOL``, whether built
+  as a ``Channel``/``JointSource`` or passed to a validated measure.
+* One clamp rule for every conditional entropy and (conditional) mutual
+  information: a value that rounds slightly negative, above ``NEG_TOL``, is
+  clamped to 0; one below ``NEG_TOL`` raises, since that signals a real bug.
 * Axis order for the six-variable joint is always (u, v, w, a, c, e).
 """
 
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +101,7 @@ def star(a, b):
 # information measures on dense tables
 # ---------------------------------------------------------------------------
 
-def _check_distribution(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def _check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.size == 0:
         raise ValidationError("empty distribution")
@@ -102,26 +110,13 @@ def _check_distribution(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     if np.any(p < -NORM_TOL):
         raise ValidationError(f"negative probability entry: min={p.min()}")
     total = p.sum()
-    if abs(total - 1.0) > atol:
-        raise ValidationError(f"distribution sums to {total}, expected 1")
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValidationError(f"distribution sums to {total}, expected 1 within {NORM_TOL}")
     return p
 
 
-def _clamp_info(value: float, name: str) -> float:
-    if value < NEG_TOL:
-        raise ValidationError(f"{name} computed as {value}; inconsistent input")
-    return max(0.0, float(value))
-
-
-def entropy(dist: np.ndarray) -> float:
-    """Shannon entropy H(p) in bits of a distribution of any shape."""
-    p = _check_distribution(dist)
-    nz = p[p > 0.0]
-    return _clamp_info(-(nz * np.log2(nz)).sum(), "entropy")
-
-
 def entropy_unchecked(p: np.ndarray) -> float:
-    """Entropy without normalization validation (internal marginals are exact)."""
+    """Entropy without normalization validation: the one ``p log p`` of a table."""
     p = np.asarray(p, dtype=float)
     nz = p[p > 0.0]
     if nz.size == 0:
@@ -129,15 +124,66 @@ def entropy_unchecked(p: np.ndarray) -> float:
     return max(0.0, float(-(nz * np.log2(nz)).sum()))
 
 
+def _clamp_info(value: float, name: str) -> float:
+    """The one clamp rule: above ``NEG_TOL`` clamp to 0, below it raise."""
+    if value < NEG_TOL:
+        raise ValidationError(f"{name} computed as {value}; inconsistent input")
+    return max(0.0, value)
+
+
+class SubsetEntropies:
+    """Marginals and entropies of one dense joint, each computed once.
+
+    The one engine behind every marginal, entropy, conditional entropy and
+    (conditional) mutual information.  Both caches are keyed on the sorted
+    axis set, so naming the same variables in another order reuses the entry
+    and every marginal is the same ``p.sum(axis=drop)`` call.  The entropy of
+    the empty set is 0.
+    """
+
+    def __init__(self, p: np.ndarray) -> None:
+        self.p = p
+        self._marginals: dict[tuple[int, ...], np.ndarray] = {}
+        self._entropies: dict[tuple[int, ...], float] = {(): 0.0}
+
+    def marginal(self, *axes: int) -> np.ndarray:
+        """Marginal over ``axes``, kept in the joint's axis order."""
+        key = tuple(sorted(axes))
+        m = self._marginals.get(key)
+        if m is None:
+            drop = tuple(ax for ax in range(self.p.ndim) if ax not in key)
+            m = self._marginals[key] = self.p.sum(axis=drop) if drop else self.p
+        return m
+
+    def __call__(self, *axes: int) -> float:
+        """H(X_axes)."""
+        key = tuple(sorted(axes))
+        h = self._entropies.get(key)
+        if h is None:
+            h = self._entropies[key] = entropy_unchecked(self.marginal(*key))
+        return h
+
+    def cond(self, x: tuple[int, ...], z: tuple[int, ...]) -> float:
+        """H(X|Z) = H(XZ) - H(Z), under ``_clamp_info``."""
+        return _clamp_info(self(*x, *z) - self(*z), "conditional entropy")
+
+    def cmi(self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...] = ()) -> float:
+        """I(X;Y|Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z), under ``_clamp_info``."""
+        return _clamp_info(self(*x, *z) + self(*y, *z) - self(*x, *y, *z) - self(*z),
+                           "mutual information")
+
+
+def entropy(dist: np.ndarray) -> float:
+    """Shannon entropy H(p) in bits of a distribution of any shape."""
+    return entropy_unchecked(_check_distribution(dist))
+
+
 def mutual_information(joint: np.ndarray) -> float:
     """I(X;Y) in bits from a 2-d joint table p(x, y)."""
     p = _check_distribution(joint)
     if p.ndim != 2:
         raise ValidationError(f"mutual_information expects a 2-d joint, got ndim={p.ndim}")
-    hx = entropy_unchecked(p.sum(axis=1))
-    hy = entropy_unchecked(p.sum(axis=0))
-    hxy = entropy_unchecked(p)
-    return _clamp_info(hx + hy - hxy, "mutual information")
+    return SubsetEntropies(p).cmi((0,), (1,))
 
 
 def conditional_entropy(joint: np.ndarray, given_axes: tuple[int, ...] | int) -> float:
@@ -148,7 +194,7 @@ def conditional_entropy(joint: np.ndarray, given_axes: tuple[int, ...] | int) ->
     keep = tuple(ax for ax in range(p.ndim) if ax not in given_axes)
     if len(keep) == p.ndim:
         raise ValidationError("given_axes must name at least one axis")
-    return max(0.0, entropy_unchecked(p) - entropy_unchecked(p.sum(axis=keep)))
+    return SubsetEntropies(p).cond(keep, given_axes)
 
 
 def conditional_mi(joint: np.ndarray, conditioning_axis: int) -> float:
@@ -156,18 +202,11 @@ def conditional_mi(joint: np.ndarray, conditioning_axis: int) -> float:
     p = _check_distribution(joint)
     if p.ndim != 3:
         raise ValidationError(f"conditional_mi expects a 3-d joint, got ndim={p.ndim}")
-    p = np.moveaxis(p, conditioning_axis, 0)
-    total = 0.0
-    for pz_slice in p:
-        mass = pz_slice.sum()
-        if mass <= 0.0:
-            continue
-        cond = pz_slice / mass
-        hx = entropy_unchecked(cond.sum(axis=1))
-        hy = entropy_unchecked(cond.sum(axis=0))
-        hxy = entropy_unchecked(cond)
-        total += mass * (hx + hy - hxy)
-    return _clamp_info(total, "conditional mutual information")
+    if conditioning_axis not in range(-3, 3):
+        raise ValidationError(f"conditioning_axis must lie in [-3, 2], got {conditioning_axis}")
+    z = conditioning_axis % 3
+    x, y = (ax for ax in range(3) if ax != z)
+    return SubsetEntropies(p).cmi((x,), (y,), (z,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,60 +387,14 @@ class DistortionMeasure:
         return DistortionMeasure(1.0 - np.eye(n))
 
 
-@dataclass(frozen=True)
-class FullJoint:
-    """Composed joint p(u,v,w,a,c,e) = p(u|v) p(v|a) p(w|c) p(a,c,e).
-
-    Holds both the dense table and the generating factors.  Axis order is
-    (u, v, w, a, c, e).
-    """
-
-    probs: np.ndarray
-    source: JointSource = field(repr=False)
-    u_given_v: Channel = field(repr=False)
-    v_given_a: Channel = field(repr=False)
-    w_given_c: Channel = field(repr=False)
-
-    def marginal(self, axes: tuple[int, ...]) -> np.ndarray:
-        """Marginal over the named axes, returned with axes in the given order."""
-        drop = tuple(ax for ax in range(6) if ax not in axes)
-        m = self.probs.sum(axis=drop)
-        kept_sorted = tuple(sorted(axes))
-        perm = tuple(kept_sorted.index(ax) for ax in axes)
-        return np.transpose(m, perm)
-
-    def factorization_residual(self) -> float:
-        """Max absolute gap between the table and its reconstructed factorization.
-
-        Estimates p(v|a), p(u|v), p(w|c) and p(a,c,e) back from the table and
-        rebuilds the product; a residual below 1e-9 certifies the two Markov
-        chains U-V-A-(C,E) and W-C-(A,E).
-        """
-        p = self.probs
-        p_ace = p.sum(axis=(0, 1, 2))
-        p_va = p.sum(axis=(0, 2, 4, 5)).T  # (v, a) -> transpose to (a, v) rows
-        p_a = p_ace.sum(axis=(1, 2))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            v_rows = np.where(p_a[:, None] > 0, p_va / np.where(p_a[:, None] > 0, p_a[:, None], 1.0), 0.0)
-        p_uv = p.sum(axis=(2, 3, 4, 5))  # (u, v)
-        p_v = p_uv.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u_rows = np.where(p_v[:, None] > 0, p_uv.T / np.where(p_v[:, None] > 0, p_v[:, None], 1.0), 0.0)
-        p_wc = p.sum(axis=(0, 1, 3, 5))  # (w, c)
-        p_c = p_wc.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w_rows = np.where(p_c[:, None] > 0, p_wc.T / np.where(p_c[:, None] > 0, p_c[:, None], 1.0), 0.0)
-        rebuilt = np.einsum("vu,av,cw,ace->uvwace", u_rows, v_rows, w_rows, p_ace)
-        return float(np.abs(rebuilt - p).max())
-
-
 def compose_full_joint(
     source: JointSource,
     u_given_v: Channel,
     v_given_a: Channel,
     w_given_c: Channel,
-) -> FullJoint:
-    """Compose p(u,v,w,a,c,e) = p(u|v) p(v|a) p(w|c) p(a,c,e)."""
+) -> np.ndarray:
+    """The read-only table p(u,v,w,a,c,e) = p(u|v) p(v|a) p(w|c) p(a,c,e),
+    axes in that order; every pair of adjoining channels must match in size."""
     na, nc, _ = source.alphabet_sizes
     if v_given_a.input_size != na:
         raise ValidationError(
@@ -422,7 +415,7 @@ def compose_full_joint(
         w_given_c.rows,
         source.probs,
     )
-    return FullJoint(_freeze(probs), source, u_given_v, v_given_a, w_given_c)
+    return _freeze(probs)
 
 
 # ---------------------------------------------------------------------------

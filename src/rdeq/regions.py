@@ -7,6 +7,11 @@ system* iff it satisfies the returned inequalities; the region itself is the
 union (plus convex hull / closure) over all systems, which the optimizer
 module searches.
 
+Every discrete evaluator composes its joint and reads each entropy and
+(conditional) mutual information from ``probability.SubsetEntropies``, under
+its one clamp rule; the six inner bounds are written once, in
+``inner_bounds_of_joint``.
+
 Cardinality caps are deliberately not enforced here: membership testing must
 accept systems of any size.  Only the optimizer applies the caps.
 """
@@ -23,9 +28,9 @@ from .probability import (
     Channel,
     DistortionMeasure,
     JointSource,
+    SubsetEntropies,
     check_range,
     compose_full_joint,
-    entropy_unchecked,
     h2_unchecked,
     star_unchecked,
 )
@@ -38,49 +43,6 @@ LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
 def positive_part(x: float) -> float:
     return max(0.0, x)
-
-
-# ---------------------------------------------------------------------------
-# entropy helper over a dense multi-axis joint
-# ---------------------------------------------------------------------------
-
-class SubsetEntropies:
-    """Marginals and entropies of one dense joint, each computed once.
-
-    Both caches are keyed on the sorted axis set, so naming the same
-    variables in another order reuses the entry and every marginal is the
-    same ``p.sum(axis=drop)`` call.  The entropy of the empty set is 0.
-    """
-
-    def __init__(self, p: np.ndarray) -> None:
-        self.p = p
-        self._marginals: dict[tuple[int, ...], np.ndarray] = {}
-        self._entropies: dict[tuple[int, ...], float] = {(): 0.0}
-
-    def marginal(self, *axes: int) -> np.ndarray:
-        """Marginal over ``axes``, kept in the joint's axis order."""
-        key = tuple(sorted(axes))
-        m = self._marginals.get(key)
-        if m is None:
-            drop = tuple(ax for ax in range(self.p.ndim) if ax not in key)
-            m = self._marginals[key] = self.p.sum(axis=drop) if drop else self.p
-        return m
-
-    def __call__(self, *axes: int) -> float:
-        """H(X_axes)."""
-        key = tuple(sorted(axes))
-        h = self._entropies.get(key)
-        if h is None:
-            h = self._entropies[key] = entropy_unchecked(self.marginal(*key))
-        return h
-
-    def cond(self, x: tuple[int, ...], z: tuple[int, ...]) -> float:
-        """H(X|Z), clamped at 0."""
-        return max(0.0, self(*x, *z) - self(*z))
-
-    def cmi(self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...] = ()) -> float:
-        """I(X;Y|Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z), clamped at 0."""
-        return max(0.0, self(*x, *z) + self(*y, *z) - self(*x, *y, *z) - self(*z))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +224,7 @@ def inner_bounds_of_joint(h: SubsetEntropies, d: DistortionMeasure,
     """The six inner-region bounds of a composed (u, v, w, a, c, e) joint.
 
     H(A|V,W) and H(A|V) enter as unclamped differences; the five mutual
-    informations are clamped at 0.
+    informations follow the engine's clamp rule.
     """
     i_ae_u = h.cmi((_A,), (_E,), (_U,))
     i_wc_v = h.cmi((_W,), (_C,), (_V,))
@@ -279,7 +241,7 @@ def inner_bounds_of_joint(h: SubsetEntropies, d: DistortionMeasure,
 def inner_bound_point(source: JointSource, d: DistortionMeasure,
                       sys: AuxiliarySystem) -> InnerBounds:
     """Evaluate the six inner-region bounds at a given auxiliary system."""
-    p = compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c).probs
+    p = compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c)
     return inner_bounds_of_joint(SubsetEntropies(p), d, sys.reconstruction)
 
 
@@ -290,9 +252,7 @@ def corner_point(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem
     The three points share D; (I) and (II) share R_A + R_C and Delta; (II) and
     (III) share R_A + R_C and Delta - R_C.
     """
-    h = SubsetEntropies(
-        compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c).probs
-    )
+    h = SubsetEntropies(compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c))
     dist = _expected_distortion(h.marginal(_V, _W, _A), d, sys.reconstruction)
     h_a_ue = h.cond((_A,), (_U, _E))
     if which == "I":

@@ -483,11 +483,7 @@ def message_equivocation(source: JointSource, n: int, j_of_seq: np.ndarray,
             f"{16 * ne ** n / 2 ** 20:.1f} MiB for a message's |E|^n matrix and running sum"
         )
     joint = _eve_joint(source, n)
-    h_je = 0.0
-    for members in _message_groups(j_of_seq):
-        p = joint(members)
-        nz = p[p > 0]
-        h_je -= float((nz * np.log2(nz)).sum())
+    h_je = sum(entropy_unchecked(joint(members)) for members in _message_groups(j_of_seq))
     h_ae = entropy_unchecked(source.p_ae())
     equiv = (n * h_ae - h_je) / n
     h_a_e = h_ae - entropy_unchecked(source.p_e())
@@ -523,21 +519,30 @@ def exact_equivocation(instance: CodeInstance, source: JointSource, *,
 
 
 def eve_map_bit_error_rate(instance: CodeInstance, source: JointSource, *,
-                           state_budget: int = 1 << 18) -> float:
+                           work_budget: int = _WORK_BUDGET) -> float:
     """Mean bit error rate of Eve's symbol-wise MAP estimate of A^n from (J, E^n).
 
     Exact enumeration; binary sources at small n only.  p(j, a_i = 1, e^n) is
     ``_eve_joint`` over the message's a^n with a_i = 1.  The binary-entropy
     bound h2(BER) >= H(A^n | J, E^n)/n sandwiches the exact equivocation.
+
+    ``work_budget`` bounds the GEMMs' multiply-adds, (|A|^n + n |A|^(n-1))
+    |E|^n in all: p(j, e^n) over every a^n, then p(j, a_i = 1, e^n) over the
+    |A|^(n-1) sequences with a_i = 1 for each i.  The message table is
+    enumerated under the default ``_STATE_BUDGET``.
     """
     n = instance.config.n
     na, _, ne = source.alphabet_sizes
     if na != 2:
         raise ValidationError("BER bound is defined for the binary Hamming case")
     n_seq = na ** n
-    if n_seq * (ne ** n) > state_budget * 64:
-        raise BudgetError(f"BER enumeration too large for budget {state_budget}")
-    table = encoder_message_table(instance, state_budget=state_budget)
+    work = (n_seq + n * n_seq // na) * ne ** n
+    if work > work_budget:
+        raise BudgetError(
+            f"the BER needs {work} GEMM multiply-adds ((|A|^n + n |A|^(n-1)) |E|^n), "
+            f"above the budget of {work_budget}"
+        )
+    table = encoder_message_table(instance)
     joint = _eve_joint(source, n)
     ber = 0.0
     for members in _message_groups(table):

@@ -12,6 +12,7 @@ from rdeq import (
     ValidationError,
     classify_bec_bsc_regime,
     compose_full_joint,
+    conditional_entropy,
     conditional_mi,
     entropy,
     h2,
@@ -20,9 +21,16 @@ from rdeq import (
     mutual_information,
     star,
 )
-from rdeq.probability import bob_more_capable
+from rdeq.probability import SubsetEntropies, bob_more_capable
 
-from _oracles import oracle_cond_mi, oracle_entropy, oracle_h2, oracle_mi
+from _oracles import (
+    oracle_cond_entropy_from_dict,
+    oracle_cond_mi,
+    oracle_entropy,
+    oracle_full_joint,
+    oracle_h2,
+    oracle_mi,
+)
 
 # Frozen via the plain-python oracle: oracle_h2(0.1)
 H2_01 = 0.4689955935892812
@@ -109,6 +117,73 @@ class TestConditionalMI:
                 assert conditional_mi(joint, axis) == pytest.approx(
                     oracle_cond_mi(joint.tolist(), axis), abs=1e-12
                 )
+
+
+@st.composite
+def tables(draw, ndim, zero_slice_axis=None):
+    """A normalised table with 1-4 cells per axis and frequent zero cells;
+    slice 0 along ``zero_slice_axis`` may carry no mass."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    cells = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    w = np.array(draw(st.lists(cells, min_size=math.prod(shape), max_size=math.prod(shape))))
+    w = w.reshape(shape)
+    if zero_slice_axis is not None and shape[zero_slice_axis] > 1 and draw(st.booleans()):
+        np.moveaxis(w, zero_slice_axis, 0)[0] = 0.0
+    if w.sum() == 0.0:
+        w.flat[draw(st.integers(0, w.size - 1))] = 1.0
+    return w / w.sum()
+
+
+def as_dict(p):
+    return {idx: float(p[idx]) for idx in np.ndindex(p.shape)}
+
+
+class TestEngine:
+    @given(tables(ndim=3))
+    @settings(max_examples=200)
+    def test_entropy_matches_oracle(self, p):
+        assert entropy(p) == pytest.approx(oracle_entropy(p.ravel().tolist()), abs=1e-12)
+
+    @given(tables(ndim=2))
+    @settings(max_examples=200)
+    def test_mutual_information_matches_oracle(self, p):
+        assert mutual_information(p) == pytest.approx(oracle_mi(p.tolist()), abs=1e-12)
+
+    @given(st.data(), st.integers(0, 2))
+    @settings(max_examples=200)
+    def test_conditional_mi_matches_oracle(self, data, axis):
+        p = data.draw(tables(ndim=3, zero_slice_axis=axis))
+        assert conditional_mi(p, axis) == pytest.approx(oracle_cond_mi(p.tolist(), axis), abs=1e-12)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=200)
+    def test_conditional_entropy_matches_oracle(self, data, ndim):
+        given_axes = tuple(data.draw(st.sets(st.integers(0, ndim - 1), min_size=1)))
+        p = data.draw(tables(ndim=ndim, zero_slice_axis=given_axes[0]))
+        rest = tuple(ax for ax in range(ndim) if ax not in given_axes)
+        assert conditional_entropy(p, given_axes) == pytest.approx(
+            oracle_cond_entropy_from_dict(as_dict(p), p.shape, rest, given_axes), abs=1e-12)
+
+    def test_all_measures_share_one_normalisation_tolerance(self):
+        # off by 9e-10: inside the former 1e-9 check, outside NORM_TOL = 1e-12
+        p = np.full((2, 2), 0.25) * (1 + 9e-10)
+        for call in (entropy, mutual_information, lambda q: conditional_entropy(q, 0)):
+            with pytest.raises(ValidationError, match="sums to"):
+                call(p)
+        with pytest.raises(ValidationError, match="sums to"):
+            conditional_mi(np.full((2, 2, 2), 0.125) * (1 + 9e-10), 2)
+
+    def test_conditioning_axis_out_of_range_rejected(self):
+        p = np.full((2, 2, 2), 0.125)
+        assert conditional_mi(p, -1) == conditional_mi(p, 2)
+        for axis in (3, -4):
+            with pytest.raises(ValidationError, match="conditioning_axis"):
+                conditional_mi(p, axis)
+
+    def test_clamp_raises_below_neg_tol(self):
+        # a table summing to 2 gives I(X;Y) = 0 + 0 - 2: beyond rounding, so it raises
+        with pytest.raises(ValidationError, match="mutual information"):
+            SubsetEntropies(np.full((2, 2), 0.5)).cmi((0,), (1,))
 
 
 class TestScalars:
@@ -265,32 +340,37 @@ class TestChannelsAndSource:
         assert DistortionMeasure.hamming(3).d_max == 1.0
 
 
+def assert_matches_oracle_joint(p, src, uv, va, wc):
+    ref, sizes = oracle_full_joint(src.probs.tolist(), uv.rows.tolist(),
+                                   va.rows.tolist(), wc.rows.tolist())
+    assert p.shape == sizes
+    assert not p.flags.writeable
+    for idx, val in ref.items():
+        assert p[idx] == pytest.approx(val, abs=1e-15)
+
+
 class TestComposeFullJoint:
     def test_identity_channels_recover_source(self):
         src = make_bec_bsc_source(0.1, 0.3)
-        fj = compose_full_joint(src, Channel.identity(2), Channel.identity(2), Channel.identity(3))
-        assert np.allclose(fj.marginal((3, 4, 5)), src.probs, atol=1e-15)
-        assert fj.factorization_residual() < 1e-12
+        chans = (Channel.identity(2), Channel.identity(2), Channel.identity(3))
+        assert_matches_oracle_joint(compose_full_joint(src, *chans), src, *chans)
 
     def test_degenerate_auxiliaries(self):
         src = make_bec_bsc_source(0.1, 0.3)
-        fj = compose_full_joint(
-            src, Channel.constant(1), Channel.constant(2), Channel.constant(3)
-        )
+        chans = (Channel.constant(1), Channel.constant(2), Channel.constant(3))
+        p = compose_full_joint(src, *chans)
+        assert_matches_oracle_joint(p, src, *chans)
         # all auxiliary MI terms vanish
-        assert mutual_information(fj.marginal((1, 3)).reshape(1, 2)) == pytest.approx(0.0, abs=1e-12)
-        assert fj.marginal((0, 1, 2)).shape == (1, 1, 1)
+        assert mutual_information(p.sum(axis=(0, 2, 4, 5))) == pytest.approx(0.0, abs=1e-12)
 
     def test_random_channels_markov_residual(self):
         rng = np.random.default_rng(23)
         src = JointSource(rand_dist(rng, (2, 2, 2)))
-        fj = compose_full_joint(
-            src, rand_channel(rng, 2, 2), rand_channel(rng, 2, 2), rand_channel(rng, 2, 2)
-        )
-        assert fj.factorization_residual() < 1e-9
+        chans = (rand_channel(rng, 2, 2), rand_channel(rng, 2, 2), rand_channel(rng, 2, 2))
+        p = compose_full_joint(src, *chans)
+        assert_matches_oracle_joint(p, src, *chans)
         # conditional independence by exhaustive slice comparison:
         # p(u,v,w | a,c,e) must equal p(u,v|a) p(w|c) wherever p(a,c,e) > 0
-        p = fj.probs
         for a in range(2):
             for c in range(2):
                 for e in range(2):
@@ -303,18 +383,8 @@ class TestComposeFullJoint:
     def test_marginal_recovers_each_factor(self):
         rng = np.random.default_rng(29)
         src = JointSource(rand_dist(rng, (2, 3, 2)))
-        uv = rand_channel(rng, 4, 2)
-        va = rand_channel(rng, 2, 4)
-        wc = rand_channel(rng, 3, 2)
-        fj = compose_full_joint(src, uv, va, wc)
-        # p(v|a) recovered wherever p(a) > 0
-        pva = fj.marginal((3, 1))
-        pa = src.p_a()
-        assert np.allclose(pva / pa[:, None], va.rows, atol=1e-10)
-        # p(u|v) wherever p(v) > 0
-        puv = fj.marginal((1, 0))
-        pv = puv.sum(axis=1)
-        assert np.allclose(puv / pv[:, None], uv.rows, atol=1e-10)
+        chans = (rand_channel(rng, 4, 2), rand_channel(rng, 2, 4), rand_channel(rng, 3, 2))
+        assert_matches_oracle_joint(compose_full_joint(src, *chans), src, *chans)
 
     def test_dimension_mismatch(self):
         src = make_bec_bsc_source(0.1, 0.3)

@@ -501,6 +501,24 @@ class TestExactEquivocation:
         ber = eve_map_bit_error_rate(inst, src)
         assert h2(ber) >= eq - 1e-12
 
+    def test_ber_work_budget(self):
+        # (|A|^n + n |A|^(n-1)) |E|^n GEMM multiply-adds: refused one below, run at the count
+        src = make_bec_bsc_source(0.1, 0.3)
+        n = 8
+        cfg = CodeConfig(n=n, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, seed=1)
+        inst = generate_codebooks(src, degenerate_system(), cfg)
+        work = (2 ** n + n * 2 ** (n - 1)) * 2 ** n
+        with pytest.raises(BudgetError, match="multiply-adds"):
+            eve_map_bit_error_rate(inst, src, work_budget=work - 1)
+        assert eve_map_bit_error_rate(inst, src, work_budget=work) == pytest.approx(0.1, abs=1e-12)
+
+    def test_ber_binary_n13_within_default_budget(self):
+        # one message: Eve's symbol-wise MAP guess of a_i is e_i, wrong with probability p
+        src = make_bec_bsc_source(0.1, 0.3)
+        cfg = CodeConfig(n=13, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, seed=1)
+        inst = generate_codebooks(src, degenerate_system(), cfg)
+        assert eve_map_bit_error_rate(inst, src) == pytest.approx(0.1, abs=1e-12)
+
 
 class TestRunExperiment:
     def test_zero_trials_reports_equivocation_only(self):
