@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .probability import Channel, DistortionMeasure, JointSource, h2, h2_inv, make_bec_bsc_source
+from .probability import (Channel, DistortionMeasure, JointSource, _malformed_json_is_invalid,
+                          h2, h2_inv, make_bec_bsc_source)
 from .optimize import (
     RegionConstraints,
     binary_frontier,
@@ -214,51 +215,41 @@ def cmd_lossless(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _entry(spec, key: str):
-    """``spec[key]`` of a simulate config; a missing entry is a validation error."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValidationError(f"simulate config has no '{key}' entry")
-    return spec[key]
-
-
 def _load_sim_config(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValidationError(f"simulate config {path} is not valid JSON: {err}") from None
-    src_spec = _entry(obj, "source")
-    if "bec_bsc" in src_spec:
-        p, eps = (_entry(src_spec["bec_bsc"], key) for key in ("p", "eps"))
-        try:
-            p = float(p)
-            eps = h2(p) if eps == "h2p" else float(eps)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"simulate config 'bec_bsc' entry: {err}") from None
-        source = make_bec_bsc_source(p, eps)
-    else:
-        source = JointSource.from_json(json.dumps(src_spec))
-    sys_spec = _entry(obj, "system")
-
-    def channel(key):
-        return Channel.from_json(json.dumps(_entry(sys_spec, key)))
-
-    system = AuxiliarySystem(
-        u_given_v=channel("u_given_v"),
-        v_given_a=channel("v_given_a"),
-        w_given_c=channel("w_given_c"),
-        reconstruction=np.asarray(_entry(sys_spec, "reconstruction"), dtype=int),
-    )
-    try:
-        code = CodeConfig(**_entry(obj, "code"))
-    except TypeError as err:
-        raise ValidationError(f"simulate config 'code' entry: {err}") from None
-    dist_spec = obj.get("distortion", "hamming")
-    if dist_spec == "hamming":
-        d = DistortionMeasure.hamming(source.alphabet_sizes[0])
-    else:
-        d = DistortionMeasure(np.asarray(_entry(dist_spec, "table"), dtype=float))
-    return source, system, d, code, int(obj.get("trials", 0)), bool(obj.get("compute_equivocation", True))
+    with _malformed_json_is_invalid("simulate config"):
+        src_spec = obj["source"]
+        if "bec_bsc" in src_spec:
+            bec_bsc = src_spec["bec_bsc"]
+            p, eps = float(bec_bsc["p"]), bec_bsc["eps"]
+            source = make_bec_bsc_source(p, h2(p) if eps == "h2p" else float(eps))
+        else:
+            source = JointSource.from_json(json.dumps(src_spec))
+        sys_spec = obj["system"]
+        system = AuxiliarySystem(
+            **{key: Channel.from_json(json.dumps(sys_spec[key]))
+               for key in ("u_given_v", "v_given_a", "w_given_c")},
+            reconstruction=np.asarray(sys_spec["reconstruction"], dtype=int),
+        )
+        code = CodeConfig(**obj["code"])
+        dist_spec = obj.get("distortion", "hamming")
+        if dist_spec == "hamming":
+            d = DistortionMeasure.hamming(source.alphabet_sizes[0])
+        else:
+            d = DistortionMeasure(np.asarray(dist_spec["table"], dtype=float))
+        trials = obj.get("trials", 0)
+        equiv = obj.get("compute_equivocation", True)
+    if type(trials) is not int or trials < 0:
+        raise ValidationError(f"simulate config 'trials' must be a non-negative integer, "
+                              f"got {trials!r}")
+    if type(equiv) is not bool:
+        raise ValidationError(f"simulate config 'compute_equivocation' must be true or false, "
+                              f"got {equiv!r}")
+    return source, system, d, code, trials, equiv
 
 
 def cmd_simulate(args) -> int:

@@ -73,71 +73,6 @@ _TOL = 1e-5  # the binary search stops once its grid spacing is below _TOL / 10
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FrontierSpec:
-    """Declarative description of a frontier sweep, loadable from JSON.
-
-    ``model`` selects the engine: "binary_bec_bsc" (closed-form scalar
-    search), "generic_discrete" (multi-start ascent over channels) or
-    "lossless" (helper-variable search).  ``run`` dispatches accordingly.
-    """
-
-    model: str
-    params: dict
-    sweep: list
-    n_starts: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.model not in ("binary_bec_bsc", "generic_discrete", "lossless"):
-            raise ValidationError(f"unknown frontier model {self.model!r}")
-        if len(self.sweep) < 1:
-            raise ValidationError("sweep must hold at least one value")
-
-    @staticmethod
-    def from_json(text: str) -> "FrontierSpec":
-        obj = json.loads(text)
-        return FrontierSpec(
-            model=obj["model"],
-            params=obj.get("params", {}),
-            sweep=list(obj["sweep"]),
-            n_starts=int(obj.get("n_starts", 64)),
-            seed=int(obj.get("seed", 0)),
-        )
-
-    def run(self, workers: int = 1) -> "FrontierResult":
-        if self.model == "binary_bec_bsc":
-            return binary_frontier(
-                float(self.params["p"]), float(self.params["eps"]),
-                [float(x) for x in self.sweep],
-                rate_cap=self.params.get("rate_cap"),
-                force_beta_zero=bool(self.params.get("force_beta_zero", False)),
-            )
-        source = JointSource.from_json(json.dumps(self.params["source"]))
-        if self.model == "lossless":
-            return lossless_frontier(
-                source, [float(x) for x in self.sweep],
-                n_starts=self.n_starts, seed=self.seed, workers=workers,
-            )
-        na = source.alphabet_sizes[0]
-        d = (
-            DistortionMeasure(np.asarray(self.params["distortion"], dtype=float))
-            if "distortion" in self.params else DistortionMeasure.hamming(na)
-        )
-        caps = tuple(self.params.get("caps", (na, na, source.alphabet_sizes[1])))
-        cons = [
-            RegionConstraints(
-                max_r_a=float(self.params.get("max_r_a", math.inf)),
-                max_r_c=float(self.params.get("max_r_c", math.inf)),
-                max_d=float(x),
-            )
-            for x in self.sweep
-        ]
-        return generic_inner_frontier(
-            source, d, caps, cons, n_starts=self.n_starts, seed=self.seed, workers=workers,
-        )
-
-
-@dataclass(frozen=True)
 class RegionConstraints:
     """Upper bounds the frontier point must respect; ``inf`` disables one."""
 
@@ -563,6 +498,8 @@ def _start_worker(objective, shapes, corners, seed_key, start_idx):
 
 def _multistart(objective, shapes, corners, seed_key, n_starts: int, workers: int):
     """The ``_better``-best (value, key, channels) over ``n_starts`` ascents."""
+    if not n_starts >= 1:
+        raise ValidationError(f"n_starts must be at least 1, got {n_starts}")
     worker = functools.partial(_start_worker, objective, shapes, corners, seed_key)
     return _best(parallel_map(worker, range(n_starts), workers))
 
@@ -599,10 +536,12 @@ def generic_inner_frontier(
     The reported value is a lower bound on the true frontier.
     """
     na, nc, _ = source.alphabet_sizes
-    cap_u, cap_v, cap_w = caps if caps is not None else prop1_caps(source)
     p1 = prop1_caps(source)
-    if cap_u > p1[0] or cap_v > p1[1] or cap_w > p1[2]:
-        raise ValidationError(f"caps {caps} exceed the sufficient bounds {p1}")
+    caps = p1 if caps is None else tuple(caps)
+    if len(caps) != 3 or not all(0 < c <= hi for c, hi in zip(caps, p1)):
+        raise ValidationError(f"caps must be three positive sizes within the sufficient "
+                              f"bounds {p1}, got {caps}")
+    cap_u, cap_v, cap_w = caps
     if fixed_w_given_c is not None and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
 

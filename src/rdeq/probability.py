@@ -191,10 +191,12 @@ def conditional_entropy(joint: np.ndarray, given_axes: tuple[int, ...] | int) ->
     p = _check_distribution(joint)
     if isinstance(given_axes, int):
         given_axes = (given_axes,)
-    keep = tuple(ax for ax in range(p.ndim) if ax not in given_axes)
-    if len(keep) == p.ndim:
+    if not all(ax in range(-p.ndim, p.ndim) for ax in given_axes):
+        raise ValidationError(f"given_axes must lie in [-{p.ndim}, {p.ndim - 1}], got {given_axes}")
+    if not given_axes:
         raise ValidationError("given_axes must name at least one axis")
-    return SubsetEntropies(p).cond(keep, given_axes)
+    given = tuple(sorted({ax % p.ndim for ax in given_axes}))
+    return SubsetEntropies(p).cond(tuple(ax for ax in range(p.ndim) if ax not in given), given)
 
 
 def conditional_mi(joint: np.ndarray, conditioning_axis: int) -> float:
@@ -215,9 +217,12 @@ def conditional_mi(joint: np.ndarray, conditioning_axis: int) -> float:
 
 @contextmanager
 def _malformed_json_is_invalid(what: str):
-    """Re-raise a parse error, a missing key or a wrong length as ValidationError."""
+    """Re-raise a parse error, a missing key, a wrong type or a wrong length as
+    ValidationError; a ValidationError passes through unchanged."""
     try:
         yield
+    except ValidationError:
+        raise
     except (ValueError, KeyError, TypeError) as err:
         raise ValidationError(f"malformed {what} JSON: {err!r}") from err
 
@@ -283,11 +288,6 @@ class Channel:
             obj = json.loads(text)
             rows = np.asarray(obj["rows"], dtype=float).reshape(obj["input_size"], obj["output_size"])
         return Channel(rows)
-
-    @staticmethod
-    def from_json_file(path: str) -> "Channel":
-        with open(path, encoding="utf-8") as fh:
-            return Channel.from_json(fh.read())
 
     def to_json(self) -> str:
         return json.dumps(

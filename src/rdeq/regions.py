@@ -93,15 +93,6 @@ class AuxiliarySystem:
         recon.setflags(write=False)
         object.__setattr__(self, "reconstruction", recon)
 
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        """(|U|, |V|, |W|)."""
-        return (
-            self.u_given_v.output_size,
-            self.v_given_a.output_size,
-            self.w_given_c.output_size,
-        )
-
 
 def binary_chain_system(alpha: float, beta: float, w_given_c: Channel,
                         reconstruction: np.ndarray) -> AuxiliarySystem:

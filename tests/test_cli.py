@@ -147,10 +147,20 @@ class TestRegionAndLossless:
         assert rc == 0
         assert out.startswith("sweep,feasible")
 
-    def test_malformed_source_exit(self, capsys, tmp_path):
-        path = tmp_path / "short.json"
-        path.write_text('{"alphabets": [2, 2, 2], "probs": [0.5, 0.5]}')
-        rc, _, err = run_cli(["lossless", "--source", str(path), "--rc-grid", "0.5"], capsys)
+    @pytest.mark.parametrize("text", [
+        '{"alphabets": [2, 2, 2], "probs": [0.5',
+        '{"alphabets": [2, 2, 2]}',
+        '{"alphabets": [2, 2, 2], "probs": [0.5, "x", 0, 0, 0, 0, 0, 0.5]}',
+        '{"alphabets": [2, 2, 2], "probs": [0.5, 0.5]}',
+    ], ids=["not-json", "no-probs", "non-numeric", "wrong-length"])
+    @pytest.mark.parametrize("argv", [
+        ["region", "--max-d", "0.3", "--starts", "1"],
+        ["lossless", "--rc-grid", "0.5", "--starts", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_source_exit(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, _, err = run_cli([*argv, "--source", str(path)], capsys)
         assert rc == 2
         assert "validation error" in err
 
@@ -233,6 +243,29 @@ class TestSimulateCommand:
         assert rc == 2
         assert "blocklength" in err
 
+    @pytest.mark.parametrize("keys, value", [
+        (("trials",), "x"),
+        (("trials",), None),
+        (("trials",), -1),
+        (("trials",), 1.5),
+        (("compute_equivocation",), "no"),
+        (("system", "reconstruction"), "x"),
+        (("distortion",), {"table": "x"}),
+        (("distortion",), "x"),
+        (("code", "n"), "x"),
+    ], ids=lambda v: "/".join(v) if isinstance(v, tuple) else repr(v))
+    def test_wrong_type_config_entry_exit(self, capsys, tmp_path, keys, value):
+        path = sweep_sim_config(tmp_path)
+        cfg = json.loads(Path(path).read_text())
+        parent = cfg
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        Path(path).write_text(json.dumps(cfg))
+        rc, _, err = run_cli(["simulate", "--config", path], capsys)
+        assert rc == 2
+        assert "validation error" in err
+
     def test_trivial_degenerate_config(self, capsys, tmp_path):
         cfg = {
             "source": {"bec_bsc": {"p": 0.1, "eps": 0.3}},
@@ -307,6 +340,11 @@ def test_non_numeric_flag_is_a_usage_error(argv, text):
     ["binary", "--p", "0.1", "--eps", "h2p", "--d-max", "inf"],
     ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--d", "inf"],
     ["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--d-max", "inf"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--starts", "0"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--starts", "-1"],
+    ["lossless", "--source", DATA, "--rc-grid", "2.0", "--starts", "0"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--caps", "2,2", "--starts", "1"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--caps", "0,2,2", "--starts", "1"],
 ])
 def test_nan_or_infinite_flag_is_a_validation_error(argv, capsys):
     rc, _, err = run_cli(argv, capsys)

@@ -484,40 +484,6 @@ class TestFrontierResult:
         assert len(lines) == 3
 
 
-class TestFrontierSpec:
-    def test_binary_spec_roundtrip(self):
-        from rdeq.optimize import FrontierSpec
-
-        spec = FrontierSpec.from_json(json.dumps({
-            "model": "binary_bec_bsc",
-            "params": {"p": 0.1, "eps": EPS_STAR},
-            "sweep": [0.01, 0.05],
-        }))
-        res = spec.run()
-        direct = binary_frontier(0.1, EPS_STAR, [0.01, 0.05])
-        assert res.to_json() == direct.to_json()
-
-    def test_generic_spec(self):
-        from rdeq.optimize import FrontierSpec
-
-        src = JointSource.from_json_file(str(DATA_DIR / "source_b.json"))
-        spec = FrontierSpec.from_json(json.dumps({
-            "model": "generic_discrete",
-            "params": {"source": json.loads(src.to_json()), "caps": [2, 2, 2]},
-            "sweep": [0.25],
-            "n_starts": 6,
-            "seed": 3,
-        }))
-        res = spec.run()
-        assert res.points[0].feasible
-
-    def test_bad_model_rejected(self):
-        from rdeq.optimize import FrontierSpec
-
-        with pytest.raises(ValidationError):
-            FrontierSpec.from_json(json.dumps({"model": "nope", "sweep": [1]}))
-
-
 class TestInfeasibleReporting:
     def test_all_paths_flag_impossible_constraints(self):
         rng = np.random.default_rng(1)

@@ -179,6 +179,10 @@ class TestEngine:
         for axis in (3, -4):
             with pytest.raises(ValidationError, match="conditioning_axis"):
                 conditional_mi(p, axis)
+        q = np.array([[0.4, 0.1], [0.2, 0.3]])
+        assert conditional_entropy(q, (-1,)) == conditional_entropy(q, (1,))
+        with pytest.raises(ValidationError, match="given_axes"):
+            conditional_entropy(q, (0, 5))
 
     def test_clamp_raises_below_neg_tol(self):
         # a table summing to 2 gives I(X;Y) = 0 + 0 - 2: beyond rounding, so it raises
