@@ -8,8 +8,9 @@ Pair i runs ``bench/run.py`` once in each checkout, both with seed
 first, so a slow phase of a shared machine does not fall on one side only.
 Every run is its own process, started as ``BENCHMARK.json`` starts it
 (``bench/run.py`` from the checkout's root, for its ``run_seconds``), with
-this interpreter.  After the pairs, each side makes one traced run
-(``--trace 1``) with seed ``--seed`` + N, and its per-layer metrics are kept.
+this interpreter.  After the N pairs come three traced pairs (``--trace 1``),
+with seeds ``--seed`` + N, N + 1 and N + 2 and the same alternation; every
+traced run's per-layer metrics are kept, with each side's per-layer medians.
 
 The results go to ``BENCH_<label>.json`` in ``--out`` under
 ``workloads.<NAME>``; workloads already in that file are kept, so one file
@@ -85,6 +86,30 @@ def summarize(pairs: list[dict], better: dict) -> dict:
     return out
 
 
+#: traced (``--trace 1``) pairs after the timed ones; their medians attribute a change
+TRACED_PAIRS = 3
+
+
+def run_pairs(sides: dict, workload: str, seed: int, count: int, seconds: float,
+              trace: int) -> list[dict]:
+    """``count`` pairs, pair i with seed ``seed`` + i and the parent first for even i."""
+    pairs = []
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_bench(sides[side], workload, seed + i, seconds, trace)
+            print(f"{'traced ' * trace}pair {i + 1}/{count} {side}: {pair[side]['metrics']}",
+                  file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
+def layer_medians(pairs: list[dict], side: str) -> dict:
+    return {name: statistics.median(p[side]["metrics"][name] for p in pairs)
+            for name in pairs[0][side]["metrics"]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -102,17 +127,11 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
-    pairs = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"first": order[0]}
-        for side in order:
-            pair[side] = run_bench(sides[side], args.workload, args.seed + i, seconds, 0)
-            print(f"pair {i + 1}/{args.pairs} {side}: {pair[side]['metrics']}", file=sys.stderr)
-        pairs.append(pair)
+    pairs = run_pairs(sides, args.workload, args.seed, args.pairs, seconds, 0)
+    traced = run_pairs(sides, args.workload, args.seed + args.pairs, TRACED_PAIRS, seconds, 1)
     entry = {"seconds": seconds, "runs": pairs, "summary": summarize(pairs, better),
-             "traced": {side: run_bench(root, args.workload, args.seed + args.pairs, seconds, 1)
-                        for side, root in sides.items()}}
+             "traced": {"runs": traced,
+                        "median": {side: layer_medians(traced, side) for side in sides}}}
 
     path = args.out / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
@@ -132,6 +151,10 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g} ({s['median_change']:+.1%}), "
               f"change won {s['change_wins']}/{s['pairs']}")
+    medians = entry["traced"]["median"]
+    for name, old in medians["parent"].items():
+        print(f"{args.workload} {name} (traced median): parent {old:.4g} "
+              f"change {medians['change'][name]:.4g}")
     return 0
 
 

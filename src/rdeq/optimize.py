@@ -8,18 +8,19 @@ Three search engines trace region frontiers:
 * ``generic_inner_frontier`` / ``lossless_frontier`` -- random multi-start
   coordinate ascent over channel rows for arbitrary discrete sources, under
   the stated cardinality caps, both on one engine (``_multistart``) over
-  raw rows.  Results are lower bounds on the true frontier.
+  raw rows, which runs every start of every sweep point in one
+  ``parallel_map``.  Results are lower bounds on the true frontier.
 * ``brute_force_oracle`` -- exhaustive search over channels with rows on a
   simplex grid, for any alphabet sizes: one channel per output relabeling,
   the bounds factored along the Markov chain and W columns pruned by an upper
   bound; exact in float64 within grid resolution, used to validate the ascent.
 
-The ascent and the oracle share one feasibility rule (``_violation``), one
-capped Delta (``_capped``) and one checked winner-to-point path
-(``_inner_point``).  The ascents and the lossless search read every entropy
-from ``probability.SubsetEntropies``.  The oracle's ``_block_entropy`` is
-the one exception: its elementwise chains keep each oracle value
-independent of the block it is computed in.
+The ascent, the lossless search (its bounds are ``InnerBounds`` with the
+helper rate as the R_C cap) and the oracle share one score (``_score``) and
+one checked winner-to-point path (``_inner_point``).  The ascents and the
+lossless search read every entropy from ``probability.SubsetEntropies``.
+The oracle's ``_block_entropy`` is the one exception: its elementwise chains
+keep each oracle value independent of the block it is computed in.
 
 All searches are deterministic for a fixed seed, independent of worker count:
 work is split into fixed-size shards and reduced with a stable tie-break
@@ -66,6 +67,11 @@ SLACK = 1e-9
 
 _COARSE = 33  # points per axis of each grid of the binary (alpha, beta) search
 _TOL = 1e-5  # the binary search stops once its grid spacing is below _TOL / 10
+
+_INIT_STEP = 0.4  # first step length of the coordinate ascent
+_MIN_STEP = 1e-3  # the ascent stops once its step falls below this
+_IMPROVE_TOL = 1e-6  # ... or once a step length gains less than this, at steps below 0.02
+_MAX_SWEEPS = 10  # most sweeps over all moves at one step length
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +163,11 @@ class FrontierResult:
 def parallel_map(fn, items, workers: int = 1):
     """Ordered map; results are identical for any worker count.
 
-    Runs in this process when there is one worker or at most one item.
+    Runs in this process when there is one worker or at most one item;
+    fewer than one worker is a ``ValidationError``.
     """
+    if not workers >= 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -388,8 +397,7 @@ def _project_rows(mat: np.ndarray) -> np.ndarray:
     return np.vstack([_project_simplex(r) for r in mat])
 
 
-def _ascend(eval_fn, channels, rng, *, init_step=0.4, min_step=1e-3, improve_tol=1e-6,
-            max_sweeps=10):
+def _ascend(eval_fn, channels, rng):
     """Coordinate ascent over channel rows with projection to the simplex.
 
     Two kinds of moves per sweep: single-row moves (vertex pulls and random
@@ -427,12 +435,12 @@ def _ascend(eval_fn, channels, rng, *, init_step=0.4, min_step=1e-3, improve_tol
         ch[...] = stash
         return improved
 
-    step = init_step
-    while step >= min_step:
+    step = _INIT_STEP
+    while step >= _MIN_STEP:
         gained_from = best_val
         moved = True
         sweeps = 0
-        while moved and sweeps < max_sweeps:
+        while moved and sweeps < _MAX_SWEEPS:
             moved = False
             sweeps += 1
             for ch in channels:
@@ -453,7 +461,7 @@ def _ascend(eval_fn, channels, rng, *, init_step=0.4, min_step=1e-3, improve_tol
                     direction = rng.standard_normal(ch.shape)
                     moved |= try_move(ch, stash, direction, step)
         step /= 3.0
-        if best_val - gained_from < improve_tol and step < 0.02:
+        if best_val - gained_from < _IMPROVE_TOL and step < 0.02:
             break
     return best_val, channels
 
@@ -486,36 +494,42 @@ def _start_channels(rng, shapes, corner: str | None):
     return chans
 
 
-def _start_worker(objective, shapes, corners, seed_key, start_idx):
+def _start_worker(shapes, corners, start):
     """One ascent of ``objective`` from ``corners[start_idx]`` (random rows
-    past the last corner) on the stream ``(*seed_key, start_idx)``; module-
-    level, as are the objectives, so process pools can pickle it."""
+    past the last corner) on the stream ``(*seed_key, start_idx)``, for
+    ``start`` = (objective, seed_key, start_idx); module-level, as are the
+    objectives, so process pools can pickle it."""
+    objective, seed_key, start_idx = start
     rng = np.random.default_rng(np.random.SeedSequence((*seed_key, start_idx)))
     corner = corners[start_idx] if start_idx < len(corners) else None
     val, chans = _ascend(objective, _start_channels(rng, shapes, corner), rng)
     return val, _key(chans), [c.copy() for c in chans]
 
 
-def _multistart(objective, shapes, corners, seed_key, n_starts: int, workers: int):
-    """The ``_better``-best (value, key, channels) over ``n_starts`` ascents."""
+def _multistart(jobs, shapes, corners, n_starts: int, workers: int) -> list[tuple]:
+    """Per (objective, seed_key) of ``jobs``, the ``_better``-best (value, key,
+    channels) over ``n_starts`` ascents; one ``parallel_map`` runs them all."""
     if not n_starts >= 1:
         raise ValidationError(f"n_starts must be at least 1, got {n_starts}")
-    worker = functools.partial(_start_worker, objective, shapes, corners, seed_key)
-    return _best(parallel_map(worker, range(n_starts), workers))
+    starts = [(objective, seed_key, i) for objective, seed_key in jobs for i in range(n_starts)]
+    runs = parallel_map(functools.partial(_start_worker, shapes, corners), starts, workers)
+    return [_best(runs[i:i + n_starts]) for i in range(0, len(runs), n_starts)]
 
 
-def _inner_objective(source, d, fixed_rows, cons, chans) -> float:
-    """``_score`` of the system ``chans`` = (p(u|v), p(v|a)[, p(w|c)])."""
-    wc = chans[2] if fixed_rows is None else fixed_rows
-    return _score(_system_bounds(source, d, chans[0], chans[1], wc)[0], cons)
+def _objective(bounds_of, cons, chans) -> float:
+    """``_score`` under ``cons`` of the searched system ``chans``, whose bounds
+    are the first entry of ``bounds_of(*chans)``."""
+    return _score(bounds_of(*chans)[0], cons)
 
 
-def _lossless_objective(source, r_c, chans) -> float:
-    """Lossless Delta of the helper ``chans[0]`` = p(u|a), scored as in ``_score``."""
-    b = _lossless(source, chans[0])[0]
-    if b.r_c_min > r_c + SLACK:
-        return _INFEASIBLE_BASE - (b.r_c_min - r_c)
-    return max(0.0, b.delta_max)
+def _checked_caps(source: JointSource, caps) -> tuple[int, int, int]:
+    """``caps`` as a tuple of three positive sizes within ``prop1_caps``."""
+    p1 = prop1_caps(source)
+    caps = tuple(caps)
+    if len(caps) != 3 or not all(0 < c <= hi for c, hi in zip(caps, p1)):
+        raise ValidationError(f"caps must be three positive sizes within the sufficient "
+                              f"bounds {p1}, got {caps}")
+    return caps
 
 
 def generic_inner_frontier(
@@ -536,27 +550,26 @@ def generic_inner_frontier(
     The reported value is a lower bound on the true frontier.
     """
     na, nc, _ = source.alphabet_sizes
-    p1 = prop1_caps(source)
-    caps = p1 if caps is None else tuple(caps)
-    if len(caps) != 3 or not all(0 < c <= hi for c, hi in zip(caps, p1)):
-        raise ValidationError(f"caps must be three positive sizes within the sufficient "
-                              f"bounds {p1}, got {caps}")
-    cap_u, cap_v, cap_w = caps
+    cap_u, cap_v, cap_w = _checked_caps(source, prop1_caps(source) if caps is None else caps)
     if fixed_w_given_c is not None and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
 
+    # the searched channels are p(u|v), p(v|a) and, unless it is fixed, p(w|c)
     shapes = [(cap_v, cap_u), (na, cap_v)]
+    fixed = {}
     if fixed_w_given_c is None:
         shapes.append((nc, cap_w))
-    fixed_rows = None if fixed_w_given_c is None else np.asarray(fixed_w_given_c.rows)
-
-    points = []
-    for idx, cons in enumerate(constraints):
-        objective = functools.partial(_inner_objective, source, d, fixed_rows, cons)
-        val, _, chans = _multistart(objective, shapes, ("degenerate", "diagonal", "noisy"),
-                                    (seed, idx), n_starts, workers)
-        system = (chans[0], chans[1], chans[2] if fixed_rows is None else fixed_rows)
-        points.append(_inner_point(source, d, idx, cons, val, system))
+    else:
+        fixed["wc"] = np.asarray(fixed_w_given_c.rows)
+    bounds_of = functools.partial(_system_bounds, source, d, **fixed)
+    jobs = [(functools.partial(_objective, bounds_of, cons), (seed, idx))
+            for idx, cons in enumerate(constraints)]
+    bests = _multistart(jobs, shapes, ("degenerate", "diagonal", "noisy"), n_starts, workers)
+    points = [
+        _inner_point(float(idx), cons, val,
+                     functools.partial(_system_evaluation, source, d, *chans, **fixed))
+        for idx, (cons, (val, _, chans)) in enumerate(zip(constraints, bests))
+    ]
     return FrontierResult(
         tuple(points),
         provenance={
@@ -581,37 +594,42 @@ def _assemble_point(bounds: InnerBounds, delta: float, cons: RegionConstraints) 
     return RegionPoint(r_a, r_c, bounds.d_min, max(0.0, delta))
 
 
-def _inner_point(source, d, idx: int, cons: RegionConstraints, val: float, system
-                 ) -> FrontierPoint:
-    """The frontier point of a search's winning ``system`` (p(u|v), p(v|a),
-    p(w|c)) of value ``val`` (infeasible at most ``_INFEASIBLE_BASE / 2``),
-    re-evaluated; a value off by 1e-9 or a point its bounds reject raises."""
+def _inner_point(sweep: float, cons: RegionConstraints, val: float, evaluate) -> FrontierPoint:
+    """The frontier point at ``sweep`` of a search's winner of value ``val``
+    (infeasible at most ``_INFEASIBLE_BASE / 2``); for a feasible winner,
+    ``evaluate()`` re-evaluates it into its (bounds, params).  A value off by
+    1e-9 or a point its bounds reject raises."""
     if val <= _INFEASIBLE_BASE / 2:
-        return FrontierPoint(sweep=float(idx), feasible=False, point=None, params={})
-    uv, va, wc = system
-    bounds, recon = _system_bounds(source, d, uv, va, wc)
+        return FrontierPoint(sweep=sweep, feasible=False, point=None, params={})
+    bounds, params = evaluate()
     delta = _score(bounds, cons)
     if abs(delta - val) > 1e-9:
         raise RuntimeError("search result failed re-validation")
     point = _assemble_point(bounds, delta, cons)
     if not bounds.admits(point, tol=1e-7):
         raise RuntimeError("assembled frontier point not admitted by its own bounds")
-    return FrontierPoint(
-        sweep=float(idx),
-        feasible=True,
-        point=point,
-        params={
-            "u_given_v": uv.tolist(),
-            "v_given_a": va.tolist(),
-            "w_given_c": np.asarray(wc).tolist(),
-            "reconstruction": recon.tolist(),
-        },
-    )
+    return FrontierPoint(sweep=sweep, feasible=True, point=point, params=params)
+
+
+def _system_evaluation(source, d, uv, va, wc) -> tuple[InnerBounds, dict]:
+    """Bounds and params of the system (p(u|v), p(v|a), p(w|c))."""
+    bounds, recon = _system_bounds(source, d, uv, va, wc)
+    return bounds, {
+        "u_given_v": uv.tolist(),
+        "v_given_a": va.tolist(),
+        "w_given_c": np.asarray(wc).tolist(),
+        "reconstruction": recon.tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------
 # lossless frontier
 # ---------------------------------------------------------------------------
+
+def _helper_evaluation(source, u_given_a) -> tuple[InnerBounds, dict]:
+    """Bounds and params of the helper p(u|a), through ``lossless_region_point``."""
+    return lossless_region_point(source, Channel(u_given_a)), {"u_given_a": u_given_a.tolist()}
+
 
 def lossless_frontier(
     source: JointSource,
@@ -628,39 +646,28 @@ def lossless_frontier(
     """
     na = source.alphabet_sizes[0]
     nu = na + 2
-    h = SubsetEntropies(source.probs)  # axes (a, c, e)
-    h_ac, h_a_c, h_c_a = h(0, 1), h.cond((0,), (1,)), h.cond((1,), (0,))
-
     r_c_grid = [float(x) for x in r_c_grid]
     if any(math.isnan(x) for x in r_c_grid) or any(b < a for a, b in zip(r_c_grid, r_c_grid[1:])):
         raise ValidationError(f"r_c_grid must be nondecreasing numbers, got {r_c_grid}")
 
+    # Below H(C|A) no helper is feasible, as H(C|U) >= H(C|A) along U - A - C:
+    # such a rate gets no search.  A searched rate caps R_C (rates within
+    # SLACK below 0 count as 0).
+    h_c_a = SubsetEntropies(source.probs).cond((1,), (0,))  # axes (a, c, e)
+    cons = {i: RegionConstraints(max_r_c=max(r_c, 0.0))
+            for i, r_c in enumerate(r_c_grid) if r_c >= h_c_a - SLACK}
+    bounds_of = functools.partial(_lossless, source)
+    jobs = [(functools.partial(_objective, bounds_of, c), (seed, 991)) for c in cons.values()]
+    bests = dict(zip(cons, _multistart(jobs, [(na, nu)], ("diagonal", "degenerate"),
+                                       n_starts, workers)))
     points = []
-    for r_c in r_c_grid:
-        if r_c < h_c_a - SLACK:
+    for i, r_c in enumerate(r_c_grid):
+        if i not in cons:
             points.append(FrontierPoint(sweep=r_c, feasible=False, point=None, params={}))
             continue
-
-        objective = functools.partial(_lossless_objective, source, r_c)
-        val, _, chans = _multistart(objective, [(na, nu)], ("diagonal", "degenerate"),
-                                    (seed, 991), n_starts, workers)
-        if val <= _INFEASIBLE_BASE / 2:
-            points.append(FrontierPoint(sweep=r_c, feasible=False, point=None, params={}))
-            continue
-        bounds = lossless_region_point(source, Channel(chans[0]))
-        delta = max(0.0, bounds.delta_max)
-        if abs(delta - val) > 1e-9:
-            raise RuntimeError("lossless optimizer result failed re-validation")
-        r_a = max(h_a_c, h_ac - r_c)
-        r_c_point = max(bounds.r_c_min, h_ac - r_a)
-        points.append(
-            FrontierPoint(
-                sweep=r_c,
-                feasible=True,
-                point=RegionPoint(r_a, r_c_point, 0.0, delta),
-                params={"u_given_a": chans[0].tolist()},
-            )
-        )
+        val, _, (u_given_a,) = bests[i]
+        points.append(_inner_point(r_c, cons[i], val,
+                                   functools.partial(_helper_evaluation, source, u_given_a)))
     return FrontierResult(
         tuple(points),
         provenance={"model": "lossless", "u_size": nu, "n_starts": n_starts, "seed": seed},
@@ -865,8 +872,10 @@ def brute_force_oracle(
     product) is refused with ``BudgetError``.
     """
     na, nc, _ = source.alphabet_sizes
-    cu, cv, cw = caps
-    m = max(1, round(1.0 / grid_step))
+    cu, cv, cw = caps = _checked_caps(source, caps)
+    if not 0.0 < grid_step <= 1.0:
+        raise ValidationError(f"grid_step must lie in (0, 1], got {grid_step}")
+    m = round(1.0 / grid_step)
     fixed = fixed_w_given_c is not None
     if fixed and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
@@ -892,8 +901,9 @@ def brute_force_oracle(
     for ci, cons in enumerate(cons_list):
         best = _best(sb[ci] for sb in shard_bests)  # None: no feasible system
         val, (vi, ui, wi) = (-math.inf, (0, 0, 0)) if best is None else best
-        system = (grids[1][ui], grids[0][vi], grids[2][wi])
-        points.append(_inner_point(source, d, ci, cons, val, system))
+        evaluate = functools.partial(_system_evaluation, source, d,
+                                     grids[1][ui], grids[0][vi], grids[2][wi])
+        points.append(_inner_point(float(ci), cons, val, evaluate))
     return FrontierResult(
         tuple(points),
         provenance={"method": "exhaustive", "step": 1.0 / m, "caps": list(caps),

@@ -19,7 +19,7 @@ accept systems of any size.  Only the optimizer applies the caps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,6 +111,10 @@ class InnerBounds:
     ``admits`` checks the Delta rows only for Delta > 0: U enters no other
     row, and with U = V they read Delta <= H(A|V,E) and Delta - R_C <=
     H(A|V,E) - I(W;C|V), so such a tuple is a member at that system.
+
+    The distributed-lossless region has the same rows at D = 0 without the
+    Delta - R_C row, so its evaluators return this type with ``d_min = 0``
+    and ``delta_minus_rc_max = inf``.
     """
 
     r_a_min: float
@@ -140,31 +144,6 @@ class UncodedBounds:
     r_a_min: float
     d_min: float
     delta_max: float
-
-    def admits(self, r_a: float, d: float, delta: float, tol: float = 1e-9) -> bool:
-        return (
-            r_a >= self.r_a_min - tol
-            and d >= self.d_min - tol
-            and delta <= self.delta_max + tol
-        )
-
-
-@dataclass(frozen=True)
-class LosslessBounds:
-    """Bound values for the distributed-lossless region at one system."""
-
-    r_a_min: float
-    r_c_min: float
-    sum_min: float
-    delta_max: float
-
-    def admits(self, r_a: float, r_c: float, delta: float, tol: float = 1e-9) -> bool:
-        return (
-            r_a >= self.r_a_min - tol
-            and r_c >= self.r_c_min - tol
-            and r_a + r_c >= self.sum_min - tol
-            and delta <= self.delta_max + tol
-        )
 
 
 @dataclass(frozen=True)
@@ -325,36 +304,33 @@ def uncoded_region_point_alt(
 # ---------------------------------------------------------------------------
 
 def _lossless(source: JointSource, u_given_a: np.ndarray
-              ) -> tuple[LosslessBounds, SubsetEntropies]:
+              ) -> tuple[InnerBounds, SubsetEntropies]:
     """The bounds and the entropies of p(u, a, c, e), axes in that order, from
     raw rows p(u|a): the helper search calls it per move, without a ``Channel``."""
     if u_given_a.shape[0] != source.alphabet_sizes[0]:
         raise ValidationError("u_given_a input size must match |A|")
     h = SubsetEntropies(np.einsum("au,ace->uace", u_given_a, source.probs))
-    bounds = LosslessBounds(
+    bounds = InnerBounds(
         r_a_min=h.cond((1,), (2,)),
         r_c_min=h.cond((2,), (0,)),
         sum_min=h(1, 2),
+        d_min=0.0,
         delta_max=h.cmi((1,), (2,), (0,)) - h.cmi((1,), (3,), (0,)),
+        delta_minus_rc_max=math.inf,
     )
     return bounds, h
 
 
-def lossless_region_point(source: JointSource, u_given_a: Channel) -> LosslessBounds:
+def lossless_region_point(source: JointSource, u_given_a: Channel) -> InnerBounds:
     """Exact compression-equivocation region at one helper variable U."""
     return _lossless(source, u_given_a.rows)[0]
 
 
-def lossless_region_point_alt(source: JointSource, u_given_a: Channel) -> LosslessBounds:
+def lossless_region_point_alt(source: JointSource, u_given_a: Channel) -> InnerBounds:
     """Alternative rate form: R_A >= [I(U;C) - I(U;E)]_+ + H(A|C)."""
     base, h = _lossless(source, u_given_a.rows)
     extra = positive_part(h.cmi((0,), (2,)) - h.cmi((0,), (3,)))
-    return LosslessBounds(
-        r_a_min=extra + base.r_a_min,
-        r_c_min=base.r_c_min,
-        sum_min=base.sum_min,
-        delta_max=base.delta_max,
-    )
+    return replace(base, r_a_min=extra + base.r_a_min)
 
 
 # ---------------------------------------------------------------------------

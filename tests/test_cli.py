@@ -14,6 +14,7 @@ from rdeq.cli import main
 DATA_DIR = Path(__file__).parent / "data"
 
 DATA = str(DATA_DIR / "source_a.json")
+SIM_CONFIG = "<simulate config>"  # replaced by a written ``sweep_sim_config`` file
 
 
 def run_cli(argv, capsys):
@@ -345,8 +346,13 @@ def test_non_numeric_flag_is_a_usage_error(argv, text):
     ["lossless", "--source", DATA, "--rc-grid", "2.0", "--starts", "0"],
     ["region", "--source", DATA, "--max-d", "0.3", "--caps", "2,2", "--starts", "1"],
     ["region", "--source", DATA, "--max-d", "0.3", "--caps", "0,2,2", "--starts", "1"],
+    ["region", "--source", DATA, "--max-d", "0.3", "--starts", "1", "--workers", "0"],
+    ["lossless", "--source", DATA, "--rc-grid", "2.0", "--starts", "1", "--workers", "-3"],
+    ["simulate", "--config", SIM_CONFIG, "--workers", "0"],
+    ["lossless", "--source", DATA, "--rc-grid", "0.01", "--starts", "0"],
 ])
-def test_nan_or_infinite_flag_is_a_validation_error(argv, capsys):
+def test_nan_or_infinite_flag_is_a_validation_error(argv, capsys, tmp_path):
+    argv = [sweep_sim_config(tmp_path) if a == SIM_CONFIG else a for a in argv]
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
     assert "validation error" in err

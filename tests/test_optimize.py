@@ -1,4 +1,5 @@
 from pathlib import Path
+import functools
 import json
 import math
 
@@ -11,6 +12,7 @@ from scipy.optimize import linprog
 from _oracles import oracle_binary_delta, oracle_binary_max, oracle_exhaustive
 from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2, h2_inv
 from rdeq.probability import entropy, make_bec_bsc_source
+from rdeq import optimize
 from rdeq.optimize import (
     _INFEASIBLE_BASE,
     SLACK,
@@ -19,7 +21,7 @@ from rdeq.optimize import (
     RegionConstraints,
     _channel_count,
     _channel_grid,
-    _lossless_objective,
+    _objective,
     _violation,
     binary_frontier,
     binary_merge_threshold,
@@ -217,6 +219,23 @@ class TestGenericInnerFrontier:
         assert a.to_json() == b.to_json()
 
 
+def test_each_search_call_starts_one_pool(monkeypatch):
+    started = []  # max_workers of each pool constructed
+
+    class CountedPool(optimize.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", CountedPool)
+    src = JointSource.from_json_file(str(DATA_DIR / "source_a.json"))
+    cons = [RegionConstraints(max_d=d) for d in (0.2, 0.3, 0.4)]
+    generic_inner_frontier(src, HAMMING2, (2, 2, 2), cons, n_starts=2, seed=0, workers=2)
+    assert started == [2]
+    lossless_frontier(src, [1.0, 1.5, 2.0], n_starts=2, seed=0, workers=2)
+    assert started == [2, 2]
+
+
 class TestLosslessFrontier:
     def test_e_equals_c_gives_zero(self):
         probs = np.zeros((2, 2, 2))
@@ -254,6 +273,17 @@ class TestLosslessFrontier:
         res = lossless_frontier(src, grid, n_starts=8, seed=1)
         deltas = res.deltas()
         assert np.all(np.diff(deltas) >= -1e-6)
+
+    def test_worker_count_invariance(self):
+        rng = np.random.default_rng(23)
+        src = rand_source(rng)
+        pac = src.p_ac()
+        h_c_a = entropy(pac) - entropy(pac.sum(axis=1))
+        grid = [h_c_a - 0.05, h_c_a + 0.1, h_c_a + 0.4]
+        a = lossless_frontier(src, grid, n_starts=3, seed=4, workers=1)
+        b = lossless_frontier(src, grid, n_starts=3, seed=4, workers=2)
+        assert [p.feasible for p in a.points] == [False, True, True]
+        assert a.to_json() == b.to_json()
 
 
 class TestBruteForceOracle:
@@ -361,6 +391,15 @@ class TestBruteForceOracle:
             brute_force_oracle(src, HAMMING2, (2, 2, 3), 0.02, (RegionConstraints(),),
                                budget=1000)
         assert "combinations" in str(err.value)
+
+    @pytest.mark.parametrize("caps, step", [
+        ((0, 2, 2), 0.5), ((2, 2), 0.5), ((2, 2, 2, 2), 0.5), ((8, 2, 2), 0.5),
+        ((2, 2, 2), 0.0), ((2, 2, 2), math.nan), ((2, 2, 2), -0.5), ((2, 2, 2), 3.0),
+    ])
+    def test_bad_caps_or_step_is_a_validation_error(self, caps, step):
+        src = make_bec_bsc_source(0.1, 0.3)
+        with pytest.raises(ValidationError):
+            brute_force_oracle(src, HAMMING2, caps, step, (RegionConstraints(),))
 
     def test_binary_instance_matches_closed_form_at_achieved_d(self):
         src = make_bec_bsc_source(0.1, EPS_STAR)
@@ -552,6 +591,10 @@ def test_violation_on_arrays_equals_scalar_calls(rows, cons):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_raw_row_lossless_objective_matches_validated_channel(data):
+    """The helper search scores ``_lossless`` bounds with ``_score`` under
+    the helper rate as the R_C cap; that equals the search's own former rule:
+    Delta (at least 0) when R_C >= H(C|U) - SLACK, else a penalty below
+    ``_INFEASIBLE_BASE`` by the excess of H(C|U) over the rate."""
     na, nu, nc, ne = (data.draw(st.integers(2, 4)) for _ in range(4))
 
     def weights(shape, lo):
@@ -567,6 +610,8 @@ def test_raw_row_lossless_objective_matches_validated_channel(data):
     want = lossless_region_point(src, Channel(rows))
     assert _lossless(src, rows)[0] == want
     r_c = data.draw(st.floats(0.0, 2.0))
-    score = (max(0.0, want.delta_max) if want.r_c_min <= r_c + SLACK
-             else _INFEASIBLE_BASE - (want.r_c_min - r_c))
-    assert _lossless_objective(src, r_c, [rows]) == score
+    old_rule = (max(0.0, want.delta_max) if want.r_c_min <= r_c + SLACK
+                else _INFEASIBLE_BASE - (want.r_c_min - r_c))
+    objective = functools.partial(_objective, functools.partial(_lossless, src),
+                                  RegionConstraints(max_r_c=r_c))
+    assert objective([rows]) == old_rule
