@@ -30,9 +30,7 @@ from .optimize import (
 )
 from .regions import (
     AuxiliarySystem,
-    BinaryParams,
     GaussianParams,
-    binary_bec_bsc_point,
     gaussian_inner,
     gaussian_optimal_no_eve_si,
 )
@@ -107,10 +105,6 @@ def cmd_binary(args) -> int:
         if not po.feasible:
             rows.append({"D": po.sweep, "feasible": False})
             continue
-        params = BinaryParams(p=p, eps=eps, alpha=po.params["alpha"], beta=po.params["beta"])
-        check = binary_bec_bsc_point(params)
-        if abs(max(0.0, check.delta_max) - po.point.delta) > 1e-9:
-            raise RuntimeError("row failed re-validation against the closed form")
         rows.append({
             "D": po.sweep,
             "feasible": True,

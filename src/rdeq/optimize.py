@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,21 +114,7 @@ class FrontierResult:
         return np.array([p.point.delta if p.feasible else np.nan for p in self.points])
 
     def to_json(self) -> str:
-        def encode(p: FrontierPoint) -> dict:
-            return {
-                "sweep": p.sweep,
-                "feasible": p.feasible,
-                "point": None if p.point is None else {
-                    "r_a": p.point.r_a, "r_c": p.point.r_c,
-                    "d": p.point.d, "delta": p.point.delta,
-                },
-                "params": p.params,
-            }
-
-        return json.dumps(
-            {"points": [encode(p) for p in self.points], "provenance": self.provenance},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_csv(self) -> str:
         scalar_keys = sorted(
@@ -268,7 +254,7 @@ def binary_frontier(
             continue
         alpha, beta, delta = _binary_maximize(p, eps, rng_box, force_beta_zero=force_beta_zero)
         bounds = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=beta))
-        if not (delta <= bounds.delta_max + 1e-12 and bounds.d_min <= d + SLACK):
+        if not (abs(delta - bounds.delta_max) <= 1e-9 and bounds.d_min <= d + SLACK):
             raise RuntimeError(f"frontier candidate failed re-validation at D={d}")
         if rate_cap is not None and bounds.r_a_min > rate_cap + 1e-6:
             raise RuntimeError(f"frontier candidate violates rate cap at D={d}")
@@ -332,17 +318,6 @@ def optimal_reconstruction(p_vwa: np.ndarray, d: DistortionMeasure) -> np.ndarra
     return np.argmin(costs, axis=2)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = np.nonzero(cond)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def _key(channels) -> bytes:
     """Tie-break key of a set of search channels: their bytes, rounded to 12 digits."""
     return b"".join(np.round(ch, 12).tobytes() for ch in channels)
@@ -394,7 +369,13 @@ def _score(bounds: InnerBounds, constraints: RegionConstraints) -> float:
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
-    return np.vstack([_project_simplex(r) for r in mat])
+    """Euclidean projection of each row of ``mat`` onto the probability simplex."""
+    u = np.sort(mat, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    cond = u - css / np.arange(1, mat.shape[1] + 1) > 0  # true at least in column 0
+    rho = mat.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # each row's last true column
+    theta = css[np.arange(mat.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(mat - theta[:, None], 0.0)
 
 
 def _ascend(eval_fn, channels, rng):
@@ -879,12 +860,17 @@ def brute_force_oracle(
     fixed = fixed_w_given_c is not None
     if fixed and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
-    sizes = [_channel_count(na, cv, m), _channel_count(cv, cu, m),
-             1 if fixed else _channel_count(nc, cw, m)]
+    shapes = [(na, cv), (cv, cu), (nc, 1 if fixed else cw)]  # a fixed W counts as one channel
     budget = _ORACLE_BUDGET if budget is None else budget
-    if math.prod(sizes) > budget:
+    # an orbit holds at most k! channels, so a grid has at least C(m+k-1, k-1)^n_in // k!
+    # of them; this bound refuses a fine step before _channel_count's tables grow with m
+    least = math.prod(math.comb(m + k - 1, k - 1) ** n_in // math.factorial(k)
+                      for n_in, k in shapes)
+    sizes = [_channel_count(n_in, k, m) for n_in, k in shapes] if least <= budget else None
+    if sizes is None or math.prod(sizes) > budget:
+        count = f"at least {least}" if sizes is None else math.prod(sizes)
         raise BudgetError(
-            f"grid has {math.prod(sizes)} channel combinations, above the budget of {budget}; "
+            f"grid has {count} channel combinations, above the budget of {budget}; "
             "increase the step or the budget"
         )
     grids = (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -49,39 +49,37 @@ def _row_counts(rows: np.ndarray, n_vals: int) -> np.ndarray:
     return np.bincount(flat, minlength=m * n_vals).reshape(m, n_vals)
 
 
-def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
-    """Boolean mask of delta-typical rows w.r.t. the distribution ``probs``."""
-    seqs = np.atleast_2d(seqs)
-    n = seqs.shape[1]
-    probs = np.asarray(probs, dtype=float).ravel()
-    counts = _row_counts(seqs, probs.size)
-    ok = (np.abs(counts / n - probs) <= delta + 1e-12).all(axis=1)
-    zero = probs == 0.0
+def _typical(counts: np.ndarray, n: int, target: np.ndarray, p: np.ndarray,
+             delta: float) -> np.ndarray:
+    """The one typicality rule, per row of cell counts N: |N/n - target| <= delta
+    in every cell (up to a 1e-12 float slack), and N = 0 wherever the law
+    ``p`` has a zero cell."""
+    ok = (np.abs(counts / n - target) <= delta + 1e-12).all(axis=1)
+    zero = p.ravel() == 0.0
     if zero.any():
         ok &= (counts[:, zero] == 0).all(axis=1)
     return ok
 
 
+def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
+    """Boolean mask of delta-typical rows w.r.t. the distribution ``probs``."""
+    seqs = np.atleast_2d(seqs)
+    probs = np.asarray(probs, dtype=float).ravel()
+    return _typical(_row_counts(seqs, probs.size), seqs.shape[1], probs, probs, delta)
+
+
 def conditionally_typical_pairs(x_rows: np.ndarray, y_rows: np.ndarray,
                                 p_y_given_x: np.ndarray, delta: float) -> np.ndarray:
-    """Mask of row pairs (x^n, y^n) with y^n conditionally typical given x^n.
-
-    Requires |N(a,b)/n - N(a|x^n)/n p(b|a)| <= delta for every (a, b) and
-    N(a, b) = 0 wherever p(b|a) = 0.  Vectorized over rows.
-    """
+    """Mask of row pairs (x^n, y^n) with y^n conditionally typical given x^n:
+    N(a, b) is compared against N(a|x^n) p(b|a).  Vectorized over rows."""
     x_rows = np.atleast_2d(x_rows)
     y_rows = np.atleast_2d(y_rows)
     n = y_rows.shape[1]
     kx, ky = p_y_given_x.shape
     nx = _row_counts(x_rows, kx)                              # (m, kx)
     target = nx[:, :, None] / n * p_y_given_x[None, :, :]     # (m, kx, ky)
-    combined = x_rows.astype(np.int64) * ky + y_rows
-    counts = _row_counts(combined, kx * ky)
-    ok = (np.abs(counts / n - target.reshape(counts.shape)) <= delta + 1e-12).all(axis=1)
-    zero = p_y_given_x.ravel() == 0.0
-    if zero.any():
-        ok &= (counts[:, zero] == 0).all(axis=1)
-    return ok
+    counts = _row_counts(x_rows.astype(np.int64) * ky + y_rows, kx * ky)
+    return _typical(counts, n, target.reshape(counts.shape), p_y_given_x, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +201,22 @@ class CodeInstance:
 
     # -- encoding ------------------------------------------------------------
 
-    def encode_alice(self, a_n: np.ndarray) -> AliceEncoding:
-        a_n = np.asarray(a_n, dtype=np.int64)
-        if a_n.shape != (self.config.n,):
+    def _row(self, seq: np.ndarray) -> np.ndarray:
+        """One length-n sequence as a (1, n) integer row."""
+        seq = np.asarray(seq, dtype=np.int64)
+        if seq.shape != (self.config.n,):
             raise ValidationError(f"sequence must have length {self.config.n}")
-        s1_arr, f_u = self._alice_stage1(a_n[None, :])
-        s1 = int(s1_arr[0])
-        s2_arr, f_v = self._alice_stage2(a_n[None, :], s1_arr)
-        s2 = int(s2_arr[0])
-        return AliceEncoding(
-            s1=s1, s2=s2,
-            r1=int(self.u_bin[s1]), r2=int(self.v_bin[s2]),
-            failed_u=bool(f_u[0]), failed_v=bool(f_v[0]),
-        )
+        return seq[None, :]
 
-    def _alice_stage1(self, a_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First u-codeword jointly typical with each row; fallback 0 on failure."""
-        return _first_typical(self.u_cb, a_rows, self._dist["p_ua"], self.config.delta)
+    def _message(self, s1, s2):
+        """The public message J = r1 * bins_v + r2 of codeword indices (s1, s2)."""
+        return self.u_bin[s1] * self.config.bins_v + self.v_bin[s2]
 
-    def _alice_stage2(self, a_rows: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First v-codeword (within codebook s1) pair-typical with a^n given u^n."""
+    def _encode_alice_rows(self, a_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(s1, s2, failed_u, failed_v) per row a^n: the first u-codeword jointly
+        typical with a^n, then the first v-codeword of its book s1 with
+        (v^n, a^n) conditionally typical given u^n; a failed stage gives 0."""
+        s1, failed_u = _first_typical(self.u_cb, a_rows, self._dist["p_ua"], self.config.delta)
         n = self.config.n
         nu, nv, na = self._dist["p_va_given_u"].shape
         p_pair = self._dist["p_va_given_u"].reshape(nu, nv * na)
@@ -234,28 +228,27 @@ class CodeInstance:
             ok = conditionally_typical_pairs(u_rows, pairs.reshape(-1, n), p_pair, self.config.delta)
             return ok.reshape(cws.size, open_rows.size)
 
-        return _first_hit(self.config.num_v, a_rows.shape[0], typical)
+        s2, failed_v = _first_hit(self.config.num_v, a_rows.shape[0], typical)
+        return s1, s2, failed_u, failed_v
+
+    def _encode_charlie_rows(self, c_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s, failed) per row c^n: the first w-codeword jointly typical with c^n."""
+        return _first_typical(self.w_cb, c_rows, self._dist["p_wc"], self.config.delta)
+
+    def encode_alice(self, a_n: np.ndarray) -> AliceEncoding:
+        s1, s2, failed_u, failed_v = (x[0] for x in self._encode_alice_rows(self._row(a_n)))
+        r1, r2 = divmod(int(self._message(s1, s2)), self.config.bins_v)
+        return AliceEncoding(s1=int(s1), s2=int(s2), r1=r1, r2=r2,
+                             failed_u=bool(failed_u), failed_v=bool(failed_v))
 
     def encode_charlie(self, c_n: np.ndarray) -> CharlieEncoding:
-        c_n = np.asarray(c_n, dtype=np.int64)
-        if c_n.shape != (self.config.n,):
-            raise ValidationError(f"sequence must have length {self.config.n}")
-        s_arr, failed = self._charlie_stage(c_n[None, :])
-        s = int(s_arr[0])
-        return CharlieEncoding(s=s, r=int(self.w_bin[s]), failed=bool(failed[0]))
-
-    def _charlie_stage(self, c_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _first_typical(self.w_cb, c_rows, self._dist["p_wc"], self.config.delta)
+        (s,), (failed,) = self._encode_charlie_rows(self._row(c_n))
+        return CharlieEncoding(s=int(s), r=int(self.w_bin[s]), failed=bool(failed))
 
     def alice_message_index(self, a_n: np.ndarray) -> int:
         """The public message J as a flat integer r1 * bins_v + r2."""
-        enc = self.encode_alice(a_n)
-        return enc.r1 * self.config.bins_v + enc.r2
-
-    def _alice_message_batch(self, a_rows: np.ndarray) -> np.ndarray:
-        s1, _ = self._alice_stage1(a_rows)
-        s2, _ = self._alice_stage2(a_rows, s1)
-        return self.u_bin[s1] * self.config.bins_v + self.v_bin[s2]
+        s1, s2, _, _ = self._encode_alice_rows(self._row(a_n))
+        return int(self._message(s1, s2)[0])
 
     # -- decoding ------------------------------------------------------------
 
@@ -505,22 +498,24 @@ def encoder_message_table(instance: CodeInstance, *,
     out = np.empty(n_seq, dtype=np.int64)
     for lo in range(0, n_seq, _TABLE_ROWS):
         dig = _digits(np.arange(lo, min(lo + _TABLE_ROWS, n_seq), dtype=np.int64), na, n)
-        out[lo:lo + dig.shape[0]] = instance._alice_message_batch(dig)
+        s1, s2, _, _ = instance._encode_alice_rows(dig)
+        out[lo:lo + dig.shape[0]] = instance._message(s1, s2)
     return out
 
 
-def exact_equivocation(instance: CodeInstance, source: JointSource, *,
-                       state_budget: int = _STATE_BUDGET, work_budget: int = _WORK_BUDGET) -> float:
-    """Exact H(A^n | J, E^n)/n of the realized code: J for all |A|^n source
-    sequences (at most ``state_budget``), then ``message_equivocation``."""
+def exact_equivocation(instance: CodeInstance, *, state_budget: int = _STATE_BUDGET,
+                       work_budget: int = _WORK_BUDGET) -> float:
+    """Exact H(A^n | J, E^n)/n of the realized code under its own source: J for
+    all |A|^n source sequences (at most ``state_budget``), then
+    ``message_equivocation``."""
     table = encoder_message_table(instance, state_budget=state_budget)
-    return message_equivocation(source, instance.config.n, table,
+    return message_equivocation(instance.source, instance.config.n, table,
                                 instance.message_count, work_budget=work_budget)
 
 
-def eve_map_bit_error_rate(instance: CodeInstance, source: JointSource, *,
-                           work_budget: int = _WORK_BUDGET) -> float:
-    """Mean bit error rate of Eve's symbol-wise MAP estimate of A^n from (J, E^n).
+def eve_map_bit_error_rate(instance: CodeInstance, *, work_budget: int = _WORK_BUDGET) -> float:
+    """Mean bit error rate of Eve's symbol-wise MAP estimate of A^n from (J, E^n),
+    under the code's own source.
 
     Exact enumeration; binary sources at small n only.  p(j, a_i = 1, e^n) is
     ``_eve_joint`` over the message's a^n with a_i = 1.  The binary-entropy
@@ -532,6 +527,7 @@ def eve_map_bit_error_rate(instance: CodeInstance, source: JointSource, *,
     enumerated under the default ``_STATE_BUDGET``.
     """
     n = instance.config.n
+    source = instance.source
     na, _, ne = source.alphabet_sizes
     if na != 2:
         raise ValidationError("BER bound is defined for the binary Hamming case")
@@ -574,61 +570,38 @@ class SimReport:
             raise ValidationError("decode_error_rate must lie in [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "trials": self.trials,
-                "empirical_distortion": self.empirical_distortion,
-                "decode_error_rate": self.decode_error_rate,
-                "decode_ambiguity_rate": self.decode_ambiguity_rate,
-                "encode_failure_rates": self.encode_failure_rates,
-                "exact_equivocation": self.exact_equivocation,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def _run_shard(args):
+def _run_shard(args) -> dict[str, np.ndarray]:
+    """Per-trial arrays of one shard: the encoders' indices and failure flags,
+    the decoding error and ambiguity flags and the distortion."""
     instance, d_table, shard_idx, shard_len = args
     cfg = instance.config
-    n = cfg.n
     src = instance.source
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, shard_idx)))
     flat = src.probs.ravel()
     # always draw the full shard block so a longer run extends a shorter one
-    draw = rng.choice(flat.size, size=(TRIAL_SHARD, n), p=flat)[:shard_len]
+    draw = rng.choice(flat.size, size=(TRIAL_SHARD, cfg.n), p=flat)[:shard_len]
     na, nc, ne = src.alphabet_sizes
     a = (draw // (nc * ne)).astype(np.int64)
     c = ((draw // ne) % nc).astype(np.int64)
 
-    s1, fail_u = instance._alice_stage1(a)
-    s2, fail_v = instance._alice_stage2(a, s1)
-    s, fail_w = instance._charlie_stage(c)
+    s1, s2, failed_u, failed_v = instance._encode_alice_rows(a)
+    s, failed_w = instance._encode_charlie_rows(c)
+    r1, r2 = np.divmod(instance._message(s1, s2), cfg.bins_v)
+    k = instance.w_bin[s]
 
     dist = np.empty(shard_len)
-    errors = np.empty(shard_len, dtype=bool)
+    error = np.empty(shard_len, dtype=bool)
     ambiguous = np.empty(shard_len, dtype=bool)
     for t in range(shard_len):
-        j = (int(instance.u_bin[s1[t]]), int(instance.v_bin[s2[t]]))
-        k = int(instance.w_bin[s[t]])
-        res = instance.decode_bob(j, k)
+        res = instance.decode_bob((int(r1[t]), int(r2[t])), int(k[t]))
         dist[t] = d_table[a[t], res.a_hat].mean()
-        correct = (res.n_matches == 1 and res.s1 == s1[t]
-                   and res.s2 == s2[t] and res.s == s[t])
-        errors[t] = not correct
+        error[t] = not (res.n_matches == 1 and (res.s1, res.s2, res.s) == (s1[t], s2[t], s[t]))
         ambiguous[t] = res.n_matches > 1
-    return {
-        "distortion_sum": float(dist.sum()),
-        "errors": int(errors.sum()),
-        "ambiguous": int(ambiguous.sum()),
-        "fail_u": int(fail_u.sum()),
-        "fail_v": int(fail_v.sum()),
-        "fail_w": int(fail_w.sum()),
-        "rows": [
-            (int(s1[t]), int(s2[t]), int(s[t]), bool(errors[t]), float(dist[t]))
-            for t in range(shard_len)
-        ],
-    }
+    return {"s1": s1, "s2": s2, "s": s, "error": error, "ambiguous": ambiguous,
+            "distortion": dist, "alice_u": failed_u, "alice_v": failed_v, "charlie": failed_w}
 
 
 def run_experiment(
@@ -648,53 +621,38 @@ def run_experiment(
 
     Trials are processed in fixed shards of ``TRIAL_SHARD`` with per-shard
     derived seeds: results are identical for any worker count, and the first
-    trials of a longer run coincide with a shorter run.
+    trials of a longer run coincide with a shorter run.  With no trials the
+    per-trial rates are None.
     """
     from .optimize import parallel_map
 
     if trials < 0:
         raise ValidationError("trials must be non-negative")
     instance = generate_codebooks(source, sys, cfg)
-    shard_args = []
-    remaining = trials
-    idx = 0
-    while remaining > 0:
-        ln = min(TRIAL_SHARD, remaining)
-        shard_args.append((instance, d.table, idx, ln))
-        remaining -= ln
-        idx += 1
-    results = parallel_map(_run_shard, shard_args, workers)
+    shards = [(instance, d.table, idx, min(TRIAL_SHARD, trials - lo))
+              for idx, lo in enumerate(range(0, trials, TRIAL_SHARD))]
+    results = parallel_map(_run_shard, shards, workers)
 
-    equiv = None
-    if compute_equivocation:
-        equiv = exact_equivocation(instance, source,
-                                   state_budget=state_budget, work_budget=work_budget)
-    if trials == 0:
-        report = SimReport(
-            n=cfg.n, trials=0, empirical_distortion=None, decode_error_rate=None,
-            decode_ambiguity_rate=None, encode_failure_rates={}, exact_equivocation=equiv,
-        )
-    else:
-        dist = sum(r["distortion_sum"] for r in results) / trials
-        report = SimReport(
-            n=cfg.n,
-            trials=trials,
-            empirical_distortion=dist,
-            decode_error_rate=sum(r["errors"] for r in results) / trials,
-            decode_ambiguity_rate=sum(r["ambiguous"] for r in results) / trials,
-            encode_failure_rates={
-                "alice_u": sum(r["fail_u"] for r in results) / trials,
-                "alice_v": sum(r["fail_v"] for r in results) / trials,
-                "charlie": sum(r["fail_w"] for r in results) / trials,
-            },
-            exact_equivocation=equiv,
-        )
+    def rate(key: str) -> float | None:
+        return sum(float(r[key].sum()) for r in results) / trials if trials else None
+
+    equiv = (exact_equivocation(instance, state_budget=state_budget, work_budget=work_budget)
+             if compute_equivocation else None)
+    report = SimReport(
+        n=cfg.n,
+        trials=trials,
+        empirical_distortion=rate("distortion"),
+        decode_error_rate=rate("error"),
+        decode_ambiguity_rate=rate("ambiguous"),
+        encode_failure_rates=({key: rate(key) for key in ("alice_u", "alice_v", "charlie")}
+                              if trials else {}),
+        exact_equivocation=equiv,
+    )
     if trace_path is not None:
+        columns = [[x for r in results for x in r[key].tolist()]
+                   for key in ("s1", "s2", "s", "error", "distortion")]
         with open(trace_path, "w", encoding="utf-8") as fh:
             fh.write("trial,s1,s2,s,decode_error,distortion\n")
-            t = 0
-            for r in results:
-                for row in r["rows"]:
-                    fh.write(f"{t},{row[0]},{row[1]},{row[2]},{int(row[3])},{row[4]:.6g}\n")
-                    t += 1
+            for t, (s1, s2, s, error, dist) in enumerate(zip(*columns)):
+                fh.write(f"{t},{s1},{s2},{s},{int(error)},{dist:.6g}\n")
     return report

@@ -327,3 +327,15 @@ def oracle_exhaustive(source, d_table, caps, step, constraints, fixed_wc=None):
             if vals.size and (best[i] is None or vals.max() > best[i]):
                 best[i] = float(vals.max())
     return best
+
+
+def oracle_project_simplex(v):
+    """Euclidean projection of one vector onto the probability simplex, by the
+    sort-and-threshold rule, one row at a time: the same float steps as the
+    library's all-rows projection, which must match it bit for bit."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, len(v) + 1)
+    rho = np.nonzero(u - css / ks > 0)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)

@@ -225,7 +225,7 @@ def test_criterion_8_simulator_sanity(capsys):
                                  np.zeros((1, 1), dtype=int))
     cfg0 = CodeConfig(n=10, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, seed=4)
     inst0 = generate_codebooks(src, degenerate, cfg0)
-    eq_zero = exact_equivocation(inst0, src)
+    eq_zero = exact_equivocation(inst0)
     zero_ok = abs(eq_zero - h2(0.1)) <= 1e-9
 
     # (b) full-disclosure map

@@ -1,4 +1,5 @@
 from pathlib import Path
+import dataclasses
 import functools
 import json
 import math
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from _oracles import oracle_binary_delta, oracle_binary_max, oracle_exhaustive
+from _oracles import (
+    oracle_binary_delta,
+    oracle_binary_max,
+    oracle_exhaustive,
+    oracle_project_simplex,
+)
 from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2, h2_inv
 from rdeq.probability import entropy, make_bec_bsc_source
 from rdeq import optimize
@@ -22,6 +28,7 @@ from rdeq.optimize import (
     _channel_count,
     _channel_grid,
     _objective,
+    _project_rows,
     _violation,
     binary_frontier,
     binary_merge_threshold,
@@ -113,6 +120,18 @@ class TestBinaryFrontier:
     def test_bad_grid(self):
         with pytest.raises(ValidationError):
             binary_frontier(0.1, EPS_STAR, [0.2, 0.1])
+
+    def test_closed_form_disagreement_fails_revalidation(self, monkeypatch):
+        # a re-evaluated Delta 1e-6 above the searched one is as wrong as one below
+        closed_form = optimize.binary_bec_bsc_point
+
+        def high(params):
+            bounds = closed_form(params)
+            return dataclasses.replace(bounds, delta_max=bounds.delta_max + 1e-6)
+
+        monkeypatch.setattr(optimize, "binary_bec_bsc_point", high)
+        with pytest.raises(RuntimeError, match="re-validation"):
+            binary_frontier(0.1, EPS_STAR, [0.05])
 
     @staticmethod
     def check_against_plain_max(p, eps, d, rate_cap=None, beta_zero=False):
@@ -392,6 +411,18 @@ class TestBruteForceOracle:
                                budget=1000)
         assert "combinations" in str(err.value)
 
+    def test_budget_refusal_of_a_fine_step_skips_the_exact_count(self, monkeypatch):
+        # step 1e-8: Burnside's lower bound alone is over the budget, so the
+        # exact count (tables of 1/step entries) is never built
+        def no_count(*args):
+            raise AssertionError("exact grid count built for a refused grid")
+
+        monkeypatch.setattr(optimize, "_channel_count", no_count)
+        src = make_bec_bsc_source(0.1, 0.3)
+        with pytest.raises(BudgetError, match="at least"):
+            brute_force_oracle(src, HAMMING2, (2, 2, 2), 1e-8, (RegionConstraints(),),
+                               budget=1000)
+
     @pytest.mark.parametrize("caps, step", [
         ((0, 2, 2), 0.5), ((2, 2), 0.5), ((2, 2, 2, 2), 0.5), ((8, 2, 2), 0.5),
         ((2, 2, 2), 0.0), ((2, 2, 2), math.nan), ((2, 2, 2), -0.5), ((2, 2, 2), 3.0),
@@ -615,3 +646,17 @@ def test_raw_row_lossless_objective_matches_validated_channel(data):
     objective = functools.partial(_objective, functools.partial(_lossless, src),
                                   RegionConstraints(max_r_c=r_c))
     assert objective([rows]) == old_rule
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (4, 6), (6, 4), (5, 1)])
+def test_row_projection_equals_per_row_reference(shape):
+    # ascent moves: rows pushed off the simplex, with ties and exact vertices
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    for scale in (0.1, 0.5, 2.0):
+        mat = rng.random(shape) + scale * rng.normal(size=shape)
+        mat[0] = np.eye(shape[1])[0]
+        mat[-1] = 1.0 / shape[1]
+        got = _project_rows(mat)
+        want = np.vstack([oracle_project_simplex(row) for row in mat])
+        assert got.tobytes() == want.tobytes()
+        assert np.allclose(got.sum(axis=1), 1.0) and (got >= 0.0).all()

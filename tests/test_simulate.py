@@ -314,15 +314,14 @@ class TestCodewordSearch:
         src, inst = two_layer_code()
         delta = inst.config.delta
         a, c = source_rows(src, 8, m, seed=5)
-        s1, f_u = inst._alice_stage1(a)
+        s1, s2, f_u, f_v = inst._encode_alice_rows(a)
         want = oracle_first_typical(inst.u_cb.tolist(), a.tolist(),
                                     inst._dist["p_ua"].tolist(), delta)
         assert with_fallback(s1, f_u) == want
-        s2, f_v = inst._alice_stage2(a, s1)
         want = oracle_first_refinement(inst.u_cb[s1].tolist(), inst.v_cb[s1].tolist(),
                                        a.tolist(), inst._dist["p_va_given_u"].tolist(), delta)
         assert with_fallback(s2, f_v) == want
-        s, f_w = inst._charlie_stage(c)
+        s, f_w = inst._encode_charlie_rows(c)
         want = oracle_first_typical(inst.w_cb.tolist(), c.tolist(),
                                     inst._dist["p_wc"].tolist(), delta)
         assert with_fallback(s, f_w) == want
@@ -404,7 +403,7 @@ class TestExactEquivocation:
         src = make_bec_bsc_source(0.1, h2(0.1))
         cfg = CodeConfig(n=8, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, seed=1)
         inst = generate_codebooks(src, degenerate_system(), cfg)
-        assert exact_equivocation(inst, src) == pytest.approx(h2(0.1), abs=1e-9)
+        assert exact_equivocation(inst) == pytest.approx(h2(0.1), abs=1e-9)
 
     def test_full_disclosure_zero(self):
         src = make_bec_bsc_source(0.1, h2(0.1))
@@ -445,7 +444,7 @@ class TestExactEquivocation:
         table = encoder_message_table(inst)
         assert len(np.unique(table)) > 1
         want = oracle_message_equivocation(src.p_ae().tolist(), 8, table.tolist())
-        assert exact_equivocation(inst, src) == pytest.approx(want, abs=1e-12)
+        assert exact_equivocation(inst) == pytest.approx(want, abs=1e-12)
 
     def test_sliced_large_group_matches_whole(self, monkeypatch):
         # one message holds ~90% of the a^n; gathering 5 factor-row pairs per
@@ -479,7 +478,7 @@ class TestExactEquivocation:
         gaps = []
         for n in (8, 14):
             inst = generate_codebooks(src, sys, sweep_config(n))
-            gaps.append(abs(exact_equivocation(inst, src) - target))
+            gaps.append(abs(exact_equivocation(inst) - target))
         assert gaps[1] <= 0.08
         assert gaps[1] < gaps[0]
 
@@ -488,7 +487,7 @@ class TestExactEquivocation:
         cfg = CodeConfig(n=8, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, seed=1)
         inst = generate_codebooks(src, degenerate_system(), cfg)
         with pytest.raises(BudgetError):
-            exact_equivocation(inst, src, state_budget=100)
+            exact_equivocation(inst, state_budget=100)
 
     def test_ber_sandwich(self):
         # h2(Eve MAP BER) upper-bounds the exact equivocation
@@ -497,8 +496,8 @@ class TestExactEquivocation:
         cfg = CodeConfig(n=8, r1=SWEEP_S1, r2=0.0, rc_link=SWEEP_SC,
                          s1=SWEEP_S1, s2=0.0, sc=SWEEP_SC, delta_n=0.14, seed=11)
         inst = generate_codebooks(src, sys, cfg)
-        eq = exact_equivocation(inst, src)
-        ber = eve_map_bit_error_rate(inst, src)
+        eq = exact_equivocation(inst)
+        ber = eve_map_bit_error_rate(inst)
         assert h2(ber) >= eq - 1e-12
 
     def test_ber_work_budget(self):
@@ -509,15 +508,15 @@ class TestExactEquivocation:
         inst = generate_codebooks(src, degenerate_system(), cfg)
         work = (2 ** n + n * 2 ** (n - 1)) * 2 ** n
         with pytest.raises(BudgetError, match="multiply-adds"):
-            eve_map_bit_error_rate(inst, src, work_budget=work - 1)
-        assert eve_map_bit_error_rate(inst, src, work_budget=work) == pytest.approx(0.1, abs=1e-12)
+            eve_map_bit_error_rate(inst, work_budget=work - 1)
+        assert eve_map_bit_error_rate(inst, work_budget=work) == pytest.approx(0.1, abs=1e-12)
 
     def test_ber_binary_n13_within_default_budget(self):
         # one message: Eve's symbol-wise MAP guess of a_i is e_i, wrong with probability p
         src = make_bec_bsc_source(0.1, 0.3)
         cfg = CodeConfig(n=13, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, seed=1)
         inst = generate_codebooks(src, degenerate_system(), cfg)
-        assert eve_map_bit_error_rate(inst, src) == pytest.approx(0.1, abs=1e-12)
+        assert eve_map_bit_error_rate(inst) == pytest.approx(0.1, abs=1e-12)
 
 
 class TestRunExperiment:
