@@ -4,7 +4,7 @@
 Walk through the closed-form machinery: evaluate a few hand-picked operating
 points, then trace both trade-off curves (two-layer optimum and the
 single-layer scheme) over a log-spaced distortion grid and locate where they
-merge.  Writes the curves to binary_curves.csv next to this script.
+merge.  Writes the curves to binary_curves.csv in the working directory.
 """
 
 import os
@@ -12,8 +12,7 @@ import os
 import numpy as np
 
 from rdeq import (
-    BinaryParams,
-    binary_bec_bsc_point,
+    binary_bec_bsc_bounds,
     binary_frontier,
     binary_merge_threshold,
     h2,
@@ -27,7 +26,7 @@ print()
 
 # A couple of single points first.  At alpha = 0 the main link carries the
 # source losslessly; the helper layer still buys a little secrecy.
-lossless = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=0.0, beta=0.078))
+lossless = binary_bec_bsc_bounds(p, eps, alpha=0.0, beta=0.078)
 print(f"lossless point:   rate {lossless.r_a_min:.3f}, equivocation {lossless.delta_max:.3f}")
 
 # Capping the rate at 80% of the lossless requirement forces some distortion

@@ -14,7 +14,7 @@ from rdeq import (
     Channel,
     CodeConfig,
     DistortionMeasure,
-    binary_wyner_ziv_point,
+    binary_bec_bsc_bounds,
     h2,
     make_bec_bsc_source,
     run_experiment,
@@ -23,7 +23,7 @@ from rdeq import (
 p, alpha = 0.1, 0.15
 eps = h2(p)
 source = make_bec_bsc_source(p, eps)
-target = binary_wyner_ziv_point(p, eps, alpha).delta_max
+target = binary_bec_bsc_bounds(p, eps, alpha, 0.0).delta_max
 
 # quantizer V = BSC(alpha)(A) sent losslessly within the codebook (singleton
 # bins); the helper thins its observation to keep its codebook small

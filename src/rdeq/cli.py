@@ -87,6 +87,21 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
     return [float(x) for x in np.geomspace(lo, hi, points)]
 
 
+def _d_grid(args) -> list[float]:
+    """``--d`` as given, or the log grid of ``--d-min``, ``--d-max`` and
+    ``--points`` (each defaulting to ``args.grid_defaults``); ``--d`` with any
+    of those three flags is a validation error."""
+    log_flags = {"--d-min": args.d_min, "--d-max": args.d_max, "--points": args.points}
+    if args.d is not None:
+        given = [flag for flag, value in log_flags.items() if value is not None]
+        if given:
+            raise ValidationError(f"--d sets the grid; it cannot be given with {', '.join(given)}")
+        return [float(x) for x in args.d]
+    lo, hi, points = (default if value is None else value
+                      for value, default in zip(log_flags.values(), args.grid_defaults))
+    return _log_grid(lo, hi, points)
+
+
 # ---------------------------------------------------------------------------
 # binary
 # ---------------------------------------------------------------------------
@@ -94,10 +109,7 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
 def cmd_binary(args) -> int:
     p = args.p
     eps = h2(p) if args.eps == "h2p" else args.eps
-    if args.d is not None:
-        grid = sorted(float(x) for x in args.d)
-    else:
-        grid = _log_grid(args.d_min, args.d_max, args.points)
+    grid = sorted(_d_grid(args))
     opt = binary_frontier(p, eps, grid, rate_cap=args.rate_cap)
     wz = binary_frontier(p, eps, grid, rate_cap=args.rate_cap, force_beta_zero=True)
     rows = []
@@ -140,10 +152,7 @@ def cmd_binary(args) -> int:
 
 def cmd_gaussian(args) -> int:
     params = GaussianParams(rho_c=args.rho_c, rho_e=args.rho_e)
-    d_values = (
-        [float(x) for x in args.d] if args.d is not None
-        else _log_grid(args.d_min, args.d_max, args.points)
-    )
+    d_values = _d_grid(args)
     exact = args.rho_e == 0.0
     rows = []
     for rc in args.rc:
@@ -360,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("binary", help="binary BEC/BSC equivocation-distortion curves")
     b.add_argument("--p", type=float, required=True)
     b.add_argument("--eps", type=_eps_arg, required=True, help="erasure probability or 'h2p'")
-    b.add_argument("--d-min", type=float, default=1e-4)
-    b.add_argument("--d-max", type=float, default=0.2)
-    b.add_argument("--points", type=int, default=60)
-    b.add_argument("--d", type=float, nargs="+", default=None,
-                   help="explicit distortion grid (overrides the log grid)")
     b.add_argument("--rate-cap", type=float, default=None)
     b.set_defaults(func=cmd_binary)
 
@@ -373,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rho-e", type=float, required=True)
     g.add_argument("--rc", type=float, nargs="+", default=[1.0],
                    help="helper rates in bits; 'inf' for uncoded side information")
-    g.add_argument("--d-min", type=float, default=0.05)
-    g.add_argument("--d-max", type=float, default=1.0)
-    g.add_argument("--points", type=int, default=20)
-    g.add_argument("--d", type=float, nargs="+", default=None)
     g.set_defaults(func=cmd_gaussian)
 
     r = sub.add_parser("region", help="generic discrete-source frontier search")
@@ -404,6 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_reproduce)
 
     # each subcommand takes only the flags it reads
+    for sp, (d_lo, d_hi, points) in ((b, (1e-4, 0.2, 60)), (g, (0.05, 1.0, 20))):
+        sp.set_defaults(grid_defaults=(d_lo, d_hi, points))
+        sp.add_argument("--d-min", type=float, help=f"log grid low end (default {d_lo:g})")
+        sp.add_argument("--d-max", type=float, help=f"log grid high end (default {d_hi:g})")
+        sp.add_argument("--points", type=int, help=f"log grid size (default {points})")
+        sp.add_argument("--d", type=float, nargs="+", help="explicit distortion grid "
+                        "(instead of the log grid)")
     for sp in (b, g, r, lo, s, rep):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
     for sp in (b, g, r, lo):

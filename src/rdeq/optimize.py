@@ -52,11 +52,10 @@ from .probability import (
     h2_inv,
 )
 from .regions import (
-    BinaryParams,
     InnerBounds,
     RegionPoint,
     binary_bec_bsc_bounds,
-    binary_bec_bsc_point,
+    _check_binary,
     _lossless,
     inner_bounds_of_joint,
     lossless_region_point,
@@ -238,7 +237,7 @@ def binary_frontier(
     optional Alice rate cap, by nested grids (``_binary_maximize``).
     ``force_beta_zero`` restricts to the single-layer (Wyner-Ziv) family.
     """
-    BinaryParams(p=p, eps=eps, alpha=0.0, beta=0.0)  # validate ranges
+    _check_binary(p, eps, 0.0, 0.0)
     if rate_cap is not None and not rate_cap >= 0.0:
         raise ValidationError(f"rate_cap must be a non-negative number, got {rate_cap}")
     d_grid = [float(x) for x in d_grid]
@@ -253,7 +252,7 @@ def binary_frontier(
             points.append(FrontierPoint(sweep=d, feasible=False, point=None, params={}))
             continue
         alpha, beta, delta = _binary_maximize(p, eps, rng_box, force_beta_zero=force_beta_zero)
-        bounds = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=beta))
+        bounds = binary_bec_bsc_bounds(p, eps, alpha, beta)
         if not (abs(delta - bounds.delta_max) <= 1e-9 and bounds.d_min <= d + SLACK):
             raise RuntimeError(f"frontier candidate failed re-validation at D={d}")
         if rate_cap is not None and bounds.r_a_min > rate_cap + 1e-6:

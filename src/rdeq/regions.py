@@ -10,7 +10,10 @@ module searches.
 Every discrete evaluator composes its joint and reads each entropy and
 (conditional) mutual information from ``probability.SubsetEntropies``, under
 its one clamp rule; the six inner bounds are written once, in
-``inner_bounds_of_joint``.
+``inner_bounds_of_joint``.  The coded, corner and uncoded evaluators share one
+composition path (``_entropies``), which also checks that the distortion table
+and the reconstruction map fit the source; the uncoded region is the inner
+region at W = C.
 
 Cardinality caps are deliberately not enforced here: membership testing must
 accept systems of any size.  Only the optimizer applies the caps.
@@ -39,10 +42,6 @@ from .probability import (
 _U, _V, _W, _A, _C, _E = range(6)
 
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
-
-
-def positive_part(x: float) -> float:
-    return max(0.0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +93,6 @@ class AuxiliarySystem:
         object.__setattr__(self, "reconstruction", recon)
 
 
-def binary_chain_system(alpha: float, beta: float, w_given_c: Channel,
-                        reconstruction: np.ndarray) -> AuxiliarySystem:
-    """The degraded binary chain A -BSC(alpha)-> V -BSC(beta)-> U."""
-    return AuxiliarySystem(Channel.bsc(beta), Channel.bsc(alpha), w_given_c, reconstruction)
-
-
 @dataclass(frozen=True)
 class InnerBounds:
     """The six bound values of the inner region at one auxiliary system.
@@ -139,7 +132,8 @@ class InnerBounds:
 
 @dataclass(frozen=True)
 class UncodedBounds:
-    """Bound values for the uncoded-side-information region at one system."""
+    """The three bound values of the uncoded-side-information region
+    (R_C = inf) at one system: R_A >= r_a_min, D >= d_min, Delta <= delta_max."""
 
     r_a_min: float
     d_min: float
@@ -160,19 +154,6 @@ class GaussianParams:
             raise ValidationError(f"rho_e must lie in [0, 1), got {self.rho_e}")
 
 
-@dataclass(frozen=True)
-class BinaryParams:
-    """Binary model parameters: BSC crossover p, BEC erasure eps, chain (alpha, beta)."""
-
-    p: float
-    eps: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        _check_binary(self.p, self.eps, self.alpha, self.beta)
-
-
 def _check_binary(p, eps, alpha, beta) -> tuple[np.ndarray, ...]:
     """The four binary parameters as broadcast float arrays, range-checked."""
     return np.broadcast_arrays(
@@ -184,6 +165,28 @@ def _check_binary(p, eps, alpha, beta) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 # coded side information: inner region and corner points
 # ---------------------------------------------------------------------------
+
+def check_reconstruction(source: JointSource, d: DistortionMeasure, recon: np.ndarray) -> None:
+    """Reject a distortion table without |A| rows, or a reconstruction map with
+    a symbol outside [0, table columns)."""
+    na = source.alphabet_sizes[0]
+    rows, cols = d.table.shape
+    if rows != na:
+        raise ValidationError(f"distortion table must have |A| = {na} rows, got {rows}")
+    if not np.all((recon >= 0) & (recon < cols)):
+        raise ValidationError(f"reconstruction symbols must lie in [0, {cols}), "
+                              f"the distortion table's columns")
+
+
+def _entropies(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem
+               ) -> SubsetEntropies:
+    """The engine over the composed (u, v, w, a, c, e) joint of ``sys``, once
+    ``d`` and its reconstruction map are checked to fit the source."""
+    check_reconstruction(source, d, sys.reconstruction)
+    return SubsetEntropies(
+        compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c)
+    )
+
 
 def _expected_distortion(p_vwa: np.ndarray, d: DistortionMeasure, recon: np.ndarray) -> float:
     return float(np.einsum("vwa,avw->", p_vwa, d.table[:, recon]))
@@ -211,8 +214,7 @@ def inner_bounds_of_joint(h: SubsetEntropies, d: DistortionMeasure,
 def inner_bound_point(source: JointSource, d: DistortionMeasure,
                       sys: AuxiliarySystem) -> InnerBounds:
     """Evaluate the six inner-region bounds at a given auxiliary system."""
-    p = compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c)
-    return inner_bounds_of_joint(SubsetEntropies(p), d, sys.reconstruction)
+    return inner_bounds_of_joint(_entropies(source, d, sys), d, sys.reconstruction)
 
 
 def corner_point(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem,
@@ -222,7 +224,7 @@ def corner_point(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem
     The three points share D; (I) and (II) share R_A + R_C and Delta; (II) and
     (III) share R_A + R_C and Delta - R_C.
     """
-    h = SubsetEntropies(compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c))
+    h = _entropies(source, d, sys)
     dist = _expected_distortion(h.marginal(_V, _W, _A), d, sys.reconstruction)
     h_a_ue = h.cond((_A,), (_U, _E))
     if which == "I":
@@ -249,22 +251,12 @@ def corner_point(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem
 def _uncoded(source: JointSource, d: DistortionMeasure, u_given_v: Channel,
              v_given_a: Channel, reconstruction: np.ndarray
              ) -> tuple[UncodedBounds, SubsetEntropies]:
-    """The bounds and the entropies of p(u, v, a, c, e), axes in that order."""
-    h = SubsetEntropies(
-        np.einsum("vu,av,ace->uvace", u_given_v.rows, v_given_a.rows, source.probs)
-    )
-    nv = v_given_a.output_size
-    nc = source.alphabet_sizes[1]
-    recon = np.asarray(reconstruction, dtype=int)
-    if recon.shape != (nv, nc):
-        raise ValidationError(f"reconstruction must have shape ({nv}, {nc}), got {recon.shape}")
-    p_vca = np.transpose(h.marginal(1, 2, 3), (0, 2, 1))  # (v, c, a)
-    bounds = UncodedBounds(
-        r_a_min=h.cmi((1,), (2,), (3,)),
-        d_min=_expected_distortion(p_vca, d, recon),
-        delta_max=h.cond((2,), (1, 3)) + h.cmi((2,), (3,), (0,)) - h.cmi((2,), (4,), (0,)),
-    )
-    return bounds, h
+    """The inner bounds at W = C and the engine over their joint."""
+    sys = AuxiliarySystem(u_given_v, v_given_a, Channel.identity(source.alphabet_sizes[1]),
+                          reconstruction)
+    h = _entropies(source, d, sys)
+    b = inner_bounds_of_joint(h, d, sys.reconstruction)
+    return UncodedBounds(b.r_a_min, b.d_min, b.delta_max), h
 
 
 def uncoded_region_point(
@@ -274,7 +266,8 @@ def uncoded_region_point(
     v_given_a: Channel,
     reconstruction: np.ndarray,
 ) -> UncodedBounds:
-    """Exact region for uncoded side information at one (U, V, reconstruction)."""
+    """Exact region for uncoded side information at one (U, V, reconstruction):
+    the inner region's R_A, D and Delta rows at W = C."""
     return _uncoded(source, d, u_given_v, v_given_a, reconstruction)[0]
 
 
@@ -291,12 +284,8 @@ def uncoded_region_point_alt(
     common layer decodable at the eavesdropper.
     """
     base, h = _uncoded(source, d, u_given_v, v_given_a, reconstruction)
-    extra = positive_part(h.cmi((0,), (3,)) - h.cmi((0,), (4,)))
-    return UncodedBounds(
-        r_a_min=extra + base.r_a_min,
-        d_min=base.d_min,
-        delta_max=base.delta_max,
-    )
+    extra = max(0.0, h.cmi((_U,), (_C,)) - h.cmi((_U,), (_E,)))
+    return replace(base, r_a_min=extra + base.r_a_min)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +318,7 @@ def lossless_region_point(source: JointSource, u_given_a: Channel) -> InnerBound
 def lossless_region_point_alt(source: JointSource, u_given_a: Channel) -> InnerBounds:
     """Alternative rate form: R_A >= [I(U;C) - I(U;E)]_+ + H(A|C)."""
     base, h = _lossless(source, u_given_a.rows)
-    extra = positive_part(h.cmi((0,), (2,)) - h.cmi((0,), (3,)))
+    extra = max(0.0, h.cmi((0,), (2,)) - h.cmi((0,), (3,)))
     return replace(base, r_a_min=extra + base.r_a_min)
 
 
@@ -355,7 +344,7 @@ def _gaussian_rate(rho_c: float, r_c: float, d: float) -> tuple[float, float]:
     sigma2 = 1.0 - rho_c * rho_c
     if not math.isinf(r_c):
         sigma2 += rho_c * rho_c * 2.0 ** (-2.0 * r_c)
-    return sigma2, positive_part(0.5 * math.log2(sigma2 / d))
+    return sigma2, max(0.0, 0.5 * math.log2(sigma2 / d))
 
 
 def gaussian_inner(params: GaussianParams, r_c: float, d: float) -> GaussianBounds:
@@ -367,7 +356,7 @@ def gaussian_inner(params: GaussianParams, r_c: float, d: float) -> GaussianBoun
     sigma2, rate = _gaussian_rate(params.rho_c, r_c, d)
     one_minus_rho_e2 = 1.0 - params.rho_e * params.rho_e
     eve_term = 0.5 * math.log2(
-        1.0 + one_minus_rho_e2 * positive_part(1.0 / d - 1.0 / sigma2)
+        1.0 + one_minus_rho_e2 * max(0.0, 1.0 / d - 1.0 / sigma2)
     )
     delta = 0.5 * math.log2(2.0 * math.pi * math.e * one_minus_rho_e2) - min(rate, eve_term)
     return GaussianBounds(r_a_min=rate, delta_max=delta)
@@ -384,37 +373,21 @@ def gaussian_optimal_no_eve_si(rho_c: float, r_c: float, d: float) -> GaussianBo
 # binary BEC/BSC closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinaryBounds:
-    r_a_min: float
-    d_min: float
-    delta_max: float
+def binary_bec_bsc_bounds(p, eps, alpha, beta) -> UncodedBounds:
+    """Closed-form uncoded region of the uniform binary source with BEC(eps)
+    side information at Bob and BSC(p) at Eve, on the chain
+    A -BSC(alpha)-> V -BSC(beta)-> U.
 
-
-def binary_bec_bsc_bounds(p, eps, alpha, beta) -> BinaryBounds:
-    """``binary_bec_bsc_point`` over broadcast arrays, each entry range-checked
-    as in ``BinaryParams``; every field has the arguments' broadcast shape."""
+    Elementwise over broadcast arrays, each entry range-checked; every field
+    has the arguments' broadcast shape, and scalar arguments give floats.
+    """
     p, eps, alpha, beta = _check_binary(p, eps, alpha, beta)
     h_alpha = h2_unchecked(alpha)
     ab = star_unchecked(alpha, beta)
-    return BinaryBounds(
-        r_a_min=eps * (1.0 - h_alpha),
-        d_min=eps * alpha,
-        delta_max=(eps * h_alpha + (1.0 - eps) * h2_unchecked(ab)
-                   - h2_unchecked(star_unchecked(p, ab)) + h2_unchecked(p)),
-    )
-
-
-def binary_bec_bsc_point(params: BinaryParams) -> BinaryBounds:
-    """Closed-form region point for the uniform binary source with BEC/BSC
-    side informations, at chain parameters (alpha, beta)."""
-    b = binary_bec_bsc_bounds(params.p, params.eps, params.alpha, params.beta)
-    return BinaryBounds(float(b.r_a_min), float(b.d_min), float(b.delta_max))
-
-
-def binary_wyner_ziv_point(p: float, eps: float, alpha: float) -> BinaryBounds:
-    """The beta = 0 specialization (single quantization layer, decodable by Eve)."""
-    return binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=0.0))
+    rows = (eps * (1.0 - h_alpha), eps * alpha,
+            (eps * h_alpha + (1.0 - eps) * h2_unchecked(ab)
+             - h2_unchecked(star_unchecked(p, ab)) + h2_unchecked(p)))
+    return UncodedBounds(*(map(float, rows) if p.ndim == 0 else rows))
 
 
 def bec_bsc_reconstruction() -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .probability import DistortionMeasure, JointSource, entropy_unchecked
-from .regions import AuxiliarySystem
+from .regions import AuxiliarySystem, check_reconstruction
 
 TRIAL_SHARD = 2048          # trials per seeding shard; fixed for reproducibility
 _SAMPLE_BATCH = 4096        # candidate draws per rejection-sampling round
@@ -111,15 +112,16 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"blocklength must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValidationError(f"blocklength must be an integer >= 1, got {self.n!r}")
         for name in ("r1", "r2", "rc_link", "s1", "s2", "sc"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"rate {name} must be non-negative")
+            rate = getattr(self, name)
+            if not 0 <= rate < math.inf:
+                raise ValidationError(f"rate {name} must be finite and non-negative, got {rate}")
         if self.s1 < self.r1 - 1e-12 or self.s2 < self.r2 - 1e-12 or self.sc < self.rc_link - 1e-12:
             raise ValidationError("codebook rates must dominate bin rates (s >= r)")
-        if self.delta_n is not None and self.delta_n <= 0:
-            raise ValidationError("delta_n must be positive")
+        if self.delta_n is not None and not 0 < self.delta_n < math.inf:
+            raise ValidationError(f"delta_n must be positive and finite, got {self.delta_n}")
 
     @property
     def delta(self) -> float:
@@ -201,12 +203,16 @@ class CodeInstance:
 
     # -- encoding ------------------------------------------------------------
 
-    def _row(self, seq: np.ndarray) -> np.ndarray:
-        """One length-n sequence as a (1, n) integer row."""
-        seq = np.asarray(seq, dtype=np.int64)
+    def _row(self, seq: np.ndarray, axis: int) -> np.ndarray:
+        """One length-n sequence of the source's axis ``axis`` (0 for A, 1 for C)
+        as a (1, n) row; every symbol must be an integer in [0, |axis|)."""
+        size = self.source.alphabet_sizes[axis]
+        seq = np.asarray(seq)
         if seq.shape != (self.config.n,):
             raise ValidationError(f"sequence must have length {self.config.n}")
-        return seq[None, :]
+        if seq.dtype.kind not in "iuf" or not np.all((seq >= 0) & (seq < size) & (seq % 1 == 0)):
+            raise ValidationError(f"sequence symbols must be integers in [0, {size})")
+        return seq.astype(np.int64)[None, :]
 
     def _message(self, s1, s2):
         """The public message J = r1 * bins_v + r2 of codeword indices (s1, s2)."""
@@ -236,18 +242,18 @@ class CodeInstance:
         return _first_typical(self.w_cb, c_rows, self._dist["p_wc"], self.config.delta)
 
     def encode_alice(self, a_n: np.ndarray) -> AliceEncoding:
-        s1, s2, failed_u, failed_v = (x[0] for x in self._encode_alice_rows(self._row(a_n)))
+        s1, s2, failed_u, failed_v = (x[0] for x in self._encode_alice_rows(self._row(a_n, 0)))
         r1, r2 = divmod(int(self._message(s1, s2)), self.config.bins_v)
         return AliceEncoding(s1=int(s1), s2=int(s2), r1=r1, r2=r2,
                              failed_u=bool(failed_u), failed_v=bool(failed_v))
 
     def encode_charlie(self, c_n: np.ndarray) -> CharlieEncoding:
-        (s,), (failed,) = self._encode_charlie_rows(self._row(c_n))
+        (s,), (failed,) = self._encode_charlie_rows(self._row(c_n, 1))
         return CharlieEncoding(s=int(s), r=int(self.w_bin[s]), failed=bool(failed))
 
     def alice_message_index(self, a_n: np.ndarray) -> int:
         """The public message J as a flat integer r1 * bins_v + r2."""
-        s1, s2, _, _ = self._encode_alice_rows(self._row(a_n))
+        s1, s2, _, _ = self._encode_alice_rows(self._row(a_n, 0))
         return int(self._message(s1, s2)[0])
 
     # -- decoding ------------------------------------------------------------
@@ -628,6 +634,7 @@ def run_experiment(
 
     if trials < 0:
         raise ValidationError("trials must be non-negative")
+    check_reconstruction(source, d, sys.reconstruction)
     instance = generate_codebooks(source, sys, cfg)
     shards = [(instance, d.table, idx, min(TRIAL_SHARD, trials - lo))
               for idx, lo in enumerate(range(0, trials, TRIAL_SHARD))]

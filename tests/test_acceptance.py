@@ -32,7 +32,7 @@ from rdeq.optimize import (
 from rdeq.regions import (
     AuxiliarySystem,
     GaussianParams,
-    binary_wyner_ziv_point,
+    binary_bec_bsc_bounds,
     corner_point,
     gaussian_inner,
     gaussian_optimal_no_eve_si,
@@ -240,7 +240,7 @@ def test_criterion_8_simulator_sanity(capsys):
     alpha = 0.15
     sys = AuxiliarySystem(Channel.identity(2), Channel.bsc(alpha), Channel(SWEEP_W),
                           SWEEP_RECON)
-    target = binary_wyner_ziv_point(0.1, h2(0.1), alpha).delta_max
+    target = binary_bec_bsc_bounds(0.1, h2(0.1), alpha, 0.0).delta_max
     errors, sigmas, gaps = [], [], []
     trials = 10_000
     for n in (8, 10, 12, 14):

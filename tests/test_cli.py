@@ -254,6 +254,14 @@ class TestSimulateCommand:
         (("distortion",), {"table": "x"}),
         (("distortion",), "x"),
         (("code", "n"), "x"),
+        (("code", "n"), 4.5),
+        (("code", "r1"), float("nan")),
+        (("code", "s1"), float("inf")),
+        (("code", "delta_n"), float("nan")),
+        (("system", "reconstruction"), [[0, 0, -1], [0, 1, 1]]),
+        (("system", "reconstruction"), [[0, 0, 5], [0, 1, 1]]),
+        (("distortion",), {"table": [[0, 1]]}),
+        (("distortion",), {"table": [[0, 1], [1, 0], [1, 1]]}),
     ], ids=lambda v: "/".join(v) if isinstance(v, tuple) else repr(v))
     def test_wrong_type_config_entry_exit(self, capsys, tmp_path, keys, value):
         path = sweep_sim_config(tmp_path)
@@ -356,6 +364,20 @@ def test_nan_or_infinite_flag_is_a_validation_error(argv, capsys, tmp_path):
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
     assert "validation error" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["binary", "--p", "0.1", "--eps", "h2p", "--d", "0.01", "--d-min", "0.5", "--points", "1"],
+     "--d-min, --points"),
+    (["gaussian", "--rho-c", "0.8", "--rho-e", "0.6", "--d", "0.3", "--d-min", "5",
+      "--points", "0"], "--d-min, --points"),
+    (["binary", "--p", "0.1", "--eps", "h2p", "--d", "0.01", "--d-max", "0.2"], "--d-max"),
+])
+def test_explicit_grid_with_log_grid_flags_is_a_validation_error(argv, flags, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"validation error: --d sets the grid; it cannot be given with {flags}" in err
 
 
 def test_infinite_caps_are_accepted(capsys):

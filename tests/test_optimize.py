@@ -1,5 +1,4 @@
 from pathlib import Path
-import dataclasses
 import functools
 import json
 import math
@@ -123,13 +122,13 @@ class TestBinaryFrontier:
 
     def test_closed_form_disagreement_fails_revalidation(self, monkeypatch):
         # a re-evaluated Delta 1e-6 above the searched one is as wrong as one below
-        closed_form = optimize.binary_bec_bsc_point
+        search = optimize._binary_maximize
 
-        def high(params):
-            bounds = closed_form(params)
-            return dataclasses.replace(bounds, delta_max=bounds.delta_max + 1e-6)
+        def low(*args, **kwargs):
+            alpha, beta, delta = search(*args, **kwargs)
+            return alpha, beta, delta - 1e-6
 
-        monkeypatch.setattr(optimize, "binary_bec_bsc_point", high)
+        monkeypatch.setattr(optimize, "_binary_maximize", low)
         with pytest.raises(RuntimeError, match="re-validation"):
             binary_frontier(0.1, EPS_STAR, [0.05])
 

@@ -9,14 +9,10 @@ from rdeq import Channel, DistortionMeasure, JointSource, ValidationError, h2, m
 from rdeq.regions import (
     LOG2_2PIE,
     AuxiliarySystem,
-    BinaryParams,
     GaussianParams,
     RegionPoint,
     bec_bsc_reconstruction,
     binary_bec_bsc_bounds,
-    binary_bec_bsc_point,
-    binary_chain_system,
-    binary_wyner_ziv_point,
     corner_point,
     gaussian_inner,
     gaussian_optimal_no_eve_si,
@@ -293,10 +289,44 @@ class TestUncodedRegion:
             sys_u = Channel.bsc(beta)
             sys_v = Channel.bsc(alpha)
             got = uncoded_region_point(src, HAMMING2, sys_u, sys_v, bec_bsc_reconstruction())
-            want = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=beta))
+            want = binary_bec_bsc_bounds(p, eps, alpha, beta)
             assert got.r_a_min == pytest.approx(want.r_a_min, abs=1e-12)
             assert got.d_min == pytest.approx(want.d_min, abs=1e-12)
             assert got.delta_max == pytest.approx(want.delta_max, abs=1e-12)
+
+
+class TestDistortionFit:
+    """Every evaluator needs a table of |A| rows and reconstruction symbols
+    that index its columns."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda src, d, recon: inner_bound_point(
+            src, d, AuxiliarySystem(Channel.bsc(0.1), Channel.bsc(0.05), Channel.identity(3), recon)),
+        lambda src, d, recon: corner_point(
+            src, d, AuxiliarySystem(Channel.bsc(0.1), Channel.bsc(0.05), Channel.identity(3), recon),
+            "II"),
+        lambda src, d, recon: uncoded_region_point(src, d, Channel.bsc(0.1), Channel.bsc(0.05), recon),
+        lambda src, d, recon: uncoded_region_point_alt(
+            src, d, Channel.bsc(0.1), Channel.bsc(0.05), recon),
+    ], ids=["inner", "corner", "uncoded", "uncoded_alt"])
+    @pytest.mark.parametrize("d, recon", [
+        (HAMMING2, [[0, 0, -1], [0, 1, 1]]),
+        (HAMMING2, [[0, 0, 5], [0, 1, 1]]),
+        (DistortionMeasure.hamming(3), [[0, 0, 1], [0, 1, 1]]),
+        (DistortionMeasure(np.array([[0.0, 1.0]])), [[0, 0, 1], [0, 1, 1]]),
+    ], ids=["negative_symbol", "symbol_past_columns", "three_rows", "one_row"])
+    def test_table_or_map_not_fitting_the_source(self, evaluate, d, recon):
+        src = make_bec_bsc_source(0.1, h2(0.1))
+        with pytest.raises(ValidationError, match="distortion table|reconstruction symbols"):
+            evaluate(src, d, np.array(recon))
+
+    def test_wider_table_fits(self):
+        # a reconstruction alphabet larger than A is allowed: symbol 2 is "erased"
+        src = make_bec_bsc_source(0.1, h2(0.1))
+        d = DistortionMeasure(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]))
+        b = uncoded_region_point(src, d, Channel.constant(2), Channel.identity(2),
+                                 np.array([[0, 2, 1], [0, 2, 1]]))
+        assert b.d_min == pytest.approx(0.5 * h2(0.1), abs=1e-12)
 
 
 class TestUncodedAlt:
@@ -467,31 +497,26 @@ class TestGaussian:
 
 class TestBinaryClosedForm:
     def test_table_lossless_point(self):
-        b = binary_bec_bsc_point(BinaryParams(p=0.1, eps=h2(0.1), alpha=0.0, beta=0.078))
+        b = binary_bec_bsc_bounds(0.1, h2(0.1), 0.0, 0.078)
         assert b.r_a_min == pytest.approx(0.469, abs=2e-3)
         assert b.d_min == 0.0
         assert b.delta_max == pytest.approx(0.039, abs=1e-3)
 
     def test_slepian_wolf_zero(self):
-        b = binary_bec_bsc_point(BinaryParams(p=0.1, eps=h2(0.1), alpha=0.0, beta=0.0))
+        b = binary_bec_bsc_bounds(0.1, h2(0.1), 0.0, 0.0)
         assert b.delta_max == pytest.approx(0.0, abs=1e-15)
 
     def test_table_lossy_point(self):
-        b = binary_bec_bsc_point(BinaryParams(p=0.1, eps=h2(0.1), alpha=0.031, beta=0.050))
+        b = binary_bec_bsc_bounds(0.1, h2(0.1), 0.031, 0.050)
         assert b.r_a_min == pytest.approx(0.375, abs=1e-3)
         assert b.d_min == pytest.approx(0.015, abs=1e-3)
         assert b.delta_max == pytest.approx(0.133, abs=1e-3)
 
     def test_wyner_ziv_column(self):
-        b = binary_wyner_ziv_point(0.1, h2(0.1), 0.031)
+        b = binary_bec_bsc_bounds(0.1, h2(0.1), 0.031, 0.0)
         assert b.delta_max == pytest.approx(0.126, abs=1e-3)
-        assert binary_wyner_ziv_point(0.1, h2(0.1), 0.0).delta_max == pytest.approx(0.0, abs=1e-15)
-
-    def test_wyner_ziv_is_beta_zero(self):
-        for alpha in np.linspace(0.0, 0.5, 11):
-            a = binary_wyner_ziv_point(0.1, 0.4, float(alpha))
-            b = binary_bec_bsc_point(BinaryParams(p=0.1, eps=0.4, alpha=float(alpha), beta=0.0))
-            assert a == b
+        assert binary_bec_bsc_bounds(0.1, h2(0.1), 0.0, 0.0).delta_max == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_oracle_formula(self):
         # independent scalar evaluation of the closed form
@@ -499,16 +524,20 @@ class TestBinaryClosedForm:
         ab = alpha * (1 - beta) + (1 - alpha) * beta
         pab = p * (1 - ab) + (1 - p) * ab
         want = eps * oracle_h2(alpha) + (1 - eps) * oracle_h2(ab) - oracle_h2(pab) + oracle_h2(p)
-        got = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=alpha, beta=beta))
+        got = binary_bec_bsc_bounds(p, eps, alpha, beta)
         assert got.delta_max == pytest.approx(want, abs=1e-14)
         assert got.r_a_min == pytest.approx(eps * (1 - oracle_h2(alpha)), abs=1e-14)
         assert got.d_min == pytest.approx(eps * alpha, abs=1e-14)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):
-            BinaryParams(p=0.6, eps=0.3, alpha=0.1, beta=0.1)
+            binary_bec_bsc_bounds(0.6, 0.3, 0.1, 0.1)
         with pytest.raises(ValidationError):
-            BinaryParams(p=0.1, eps=0.3, alpha=0.7, beta=0.1)
+            binary_bec_bsc_bounds(0.1, 0.3, 0.7, 0.1)
+
+    def test_scalar_arguments_give_floats(self):
+        b = binary_bec_bsc_bounds(0.1, 0.4, 0.05, 0.1)
+        assert all(type(x) is float for x in (b.r_a_min, b.d_min, b.delta_max))
 
     @given(st.floats(0, 0.5), st.floats(0, 1),
            st.lists(st.floats(0, 0.5), min_size=1, max_size=8),
@@ -518,7 +547,7 @@ class TestBinaryClosedForm:
         got = binary_bec_bsc_bounds(p, eps, np.array(alphas)[:, None], np.array(betas)[None, :])
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                want = binary_bec_bsc_point(BinaryParams(p=p, eps=eps, alpha=a, beta=b))
+                want = binary_bec_bsc_bounds(p, eps, a, b)
                 assert (got.r_a_min[i, j], got.d_min[i, j], got.delta_max[i, j]) == (
                     want.r_a_min, want.d_min, want.delta_max)
 
@@ -539,7 +568,8 @@ class TestBinaryChainVsInnerEvaluator:
         # with the uncoded one for rate-at-Alice and distortion
         p, eps, alpha, beta = 0.1, h2(0.1), 0.05, 0.1
         src = make_bec_bsc_source(p, eps)
-        sys = binary_chain_system(alpha, beta, Channel.identity(3), bec_bsc_reconstruction())
+        sys = AuxiliarySystem(Channel.bsc(beta), Channel.bsc(alpha), Channel.identity(3),
+                              bec_bsc_reconstruction())
         coded = inner_bound_point(src, HAMMING2, sys)
         uncoded = uncoded_region_point(
             src, HAMMING2, Channel.bsc(beta), Channel.bsc(alpha), bec_bsc_reconstruction()

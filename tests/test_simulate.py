@@ -11,7 +11,7 @@ from _oracles import (
 )
 from rdeq import BudgetError, Channel, DistortionMeasure, ValidationError, h2, simulate
 from rdeq.probability import make_bec_bsc_source, JointSource
-from rdeq.regions import AuxiliarySystem, binary_wyner_ziv_point
+from rdeq.regions import AuxiliarySystem, binary_bec_bsc_bounds
 from rdeq.simulate import (
     CodeConfig,
     conditionally_typical_pairs,
@@ -108,6 +108,16 @@ class TestCodeConfig:
             CodeConfig(n=8, r1=0.7, r2=0.0, rc_link=0.0, s1=0.6, s2=0.0, sc=0.0)
         with pytest.raises(ValidationError):
             CodeConfig(n=0, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("r1", math.nan), ("sc", math.nan), ("s1", math.inf),
+        ("delta_n", math.nan), ("delta_n", math.inf), ("n", 4.5), ("n", 8.0),
+    ])
+    def test_non_finite_rate_or_slack_or_non_integer_n(self, field, value):
+        args = dict(n=8, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, delta_n=0.2)
+        args[field] = value
+        with pytest.raises(ValidationError):
+            CodeConfig(**args)
 
     def test_realized_bin_rates_within_rounding(self):
         cfg = sweep_config(10)
@@ -347,6 +357,22 @@ class TestCodewordSearch:
                                         inst._dist["p_wc"].tolist(), delta)
             assert (ch.s, ch.failed, ch.r) == (max(s, 0), s < 0, max(s, 0) % inst.config.bins_w)
 
+    @pytest.mark.parametrize("symbol", [-1, 0.9, 7, math.nan, 2], ids=repr)
+    def test_single_sequence_encoders_reject_bad_symbols(self, symbol):
+        # A is binary and C ternary, so 2 is a bad A symbol but a good C symbol
+        _, inst = two_layer_code()
+        seq = np.zeros(8)
+        seq[3] = symbol
+        with pytest.raises(ValidationError, match="symbols"):
+            inst.encode_alice(seq)
+        with pytest.raises(ValidationError, match="symbols"):
+            inst.alice_message_index(seq)
+        if symbol != 2:
+            with pytest.raises(ValidationError, match="symbols"):
+                inst.encode_charlie(seq)
+        else:
+            assert inst.encode_charlie(seq) == inst.encode_charlie(seq.astype(int))
+
     def test_single_sequence_charlie_scans_in_blocks(self, monkeypatch):
         # criterion 8's n = 14 code: a sequence with no typical helper codeword
         # walks all 21,709 codewords in ceil(21,709 / _PAIRS) typicality calls
@@ -474,7 +500,7 @@ class TestExactEquivocation:
         # sweep operating point: the n = 8 gap dominates the n = 14 gap
         src = make_bec_bsc_source(SWEEP_P, h2(SWEEP_P))
         sys = wz_system(SWEEP_ALPHA, SWEEP_W, SWEEP_RECON)
-        target = binary_wyner_ziv_point(SWEEP_P, h2(SWEEP_P), SWEEP_ALPHA).delta_max
+        target = binary_bec_bsc_bounds(SWEEP_P, h2(SWEEP_P), SWEEP_ALPHA, 0.0).delta_max
         gaps = []
         for n in (8, 14):
             inst = generate_codebooks(src, sys, sweep_config(n))
