@@ -12,17 +12,20 @@ this interpreter.  After the N pairs come three traced pairs (``--trace 1``),
 with seeds ``--seed`` + N, N + 1 and N + 2 and the same alternation; every
 traced run's per-layer metrics are kept, with each side's per-layer medians.
 
-The results go to ``BENCH_<label>.json`` in ``--out`` under
-``workloads.<NAME>``; workloads already in that file are kept, so one file
-can hold several workloads run one after another.  Per workload it records
-the machine (cores, Python, numpy), each checkout's commit, every run's
-metrics, and per end-to-end metric each side's median and quartiles, the
-relative median change, and the number of pairs the change won.
+The results go to ``BENCH_<label>.json`` in ``--out`` (created if missing)
+under ``workloads.<NAME>``, rewritten after every pair, so an interrupted set
+keeps the pairs it finished; workloads already in that file are kept, so one
+file can hold several workloads run one after another.  Per workload it
+records the machine (cores, Python, numpy), each checkout's commit (or, for a
+checkout that is not a git work tree, a SHA-256 of its ``src/`` files),
+every run's metrics, and per end-to-end metric each side's median and
+quartiles, the relative median change, and the number of pairs the change won.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -39,9 +42,21 @@ def _commit(root: Path) -> str:
         return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
                               text=True).stdout.strip()
 
+    if not (root / ".git").exists():
+        return "src-sha256:" + _tree_hash(root / "src")
     head = git("rev-parse", "--short", "HEAD") or "unknown"
     return head + ("+uncommitted" if git("status", "--porcelain", "--untracked-files=no")
                    else "")
+
+
+def _tree_hash(src: Path) -> str:
+    """SHA-256 of the relative paths and contents of the files under ``src``,
+    in sorted order, leaving out ``__pycache__``."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -91,9 +106,8 @@ TRACED_PAIRS = 3
 
 
 def run_pairs(sides: dict, workload: str, seed: int, count: int, seconds: float,
-              trace: int) -> list[dict]:
-    """``count`` pairs, pair i with seed ``seed`` + i and the parent first for even i."""
-    pairs = []
+              trace: int):
+    """Yield ``count`` pairs, pair i with seed ``seed`` + i and the parent first for even i."""
     for i in range(count):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
@@ -101,8 +115,7 @@ def run_pairs(sides: dict, workload: str, seed: int, count: int, seconds: float,
             pair[side] = run_bench(sides[side], workload, seed + i, seconds, trace)
             print(f"{'traced ' * trace}pair {i + 1}/{count} {side}: {pair[side]['metrics']}",
                   file=sys.stderr)
-        pairs.append(pair)
-    return pairs
+        yield pair
 
 
 def layer_medians(pairs: list[dict], side: str) -> dict:
@@ -127,12 +140,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
-    pairs = run_pairs(sides, args.workload, args.seed, args.pairs, seconds, 0)
-    traced = run_pairs(sides, args.workload, args.seed + args.pairs, TRACED_PAIRS, seconds, 1)
-    entry = {"seconds": seconds, "runs": pairs, "summary": summarize(pairs, better),
-             "traced": {"runs": traced,
-                        "median": {side: layer_medians(traced, side) for side in sides}}}
-
+    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
     doc["machine"] = {
@@ -145,8 +153,25 @@ def main(argv=None) -> int:
     }
     doc["command"] = "python3 bench/run.py --workload W --seed S --seconds T --trace 0|1"
     doc["commits"] = {side: _commit(root) for side, root in sides.items()}
-    doc["workloads"][args.workload] = entry
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    pairs, traced = [], []
+    entry = doc["workloads"][args.workload] = {"seconds": seconds, "runs": pairs}
+
+    def save() -> None:
+        entry["summary"] = summarize(pairs, better)
+        if traced:
+            entry["traced"] = {"runs": traced,
+                               "median": {side: layer_medians(traced, side) for side in sides}}
+        tmp = path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        tmp.replace(path)
+
+    for pair in run_pairs(sides, args.workload, args.seed, args.pairs, seconds, 0):
+        pairs.append(pair)
+        save()
+    for pair in run_pairs(sides, args.workload, args.seed + args.pairs, TRACED_PAIRS,
+                          seconds, 1):
+        traced.append(pair)
+        save()
     for name, s in entry["summary"].items():
         print(f"{args.workload} {name}: parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g} ({s['median_change']:+.1%}), "

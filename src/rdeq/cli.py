@@ -236,7 +236,7 @@ def _load_sim_config(path: str):
         system = AuxiliarySystem(
             **{key: Channel.from_json(json.dumps(sys_spec[key]))
                for key in ("u_given_v", "v_given_a", "w_given_c")},
-            reconstruction=np.asarray(sys_spec["reconstruction"], dtype=int),
+            reconstruction=sys_spec["reconstruction"],
         )
         code = CodeConfig(**obj["code"])
         dist_spec = obj.get("distortion", "hamming")

@@ -55,8 +55,10 @@ from .regions import (
     InnerBounds,
     RegionPoint,
     binary_bec_bsc_bounds,
+    binary_bec_bsc_bounds_unchecked,
     _check_binary,
     _lossless,
+    check_distortion,
     inner_bounds_of_joint,
     lossless_region_point,
 )
@@ -98,22 +100,61 @@ class FrontierPoint:
     params: dict
 
 
+class _BinaryPoints:
+    """The points of a binary frontier as float64 columns, each built into a
+    ``FrontierPoint`` when read: 49 bytes a point against about 530 as objects.
+
+    ``rows`` holds (R_A, D, Delta, alpha, beta) per point; the row of an
+    infeasible point is ignored.  Read-only, indexable, iterable and equal to
+    any sequence of the same points.
+    """
+
+    def __init__(self, sweeps, feasible, rows) -> None:
+        self._sweeps = np.array(sweeps, dtype=float)
+        self._feasible = np.array(feasible, dtype=bool)
+        self._rows = np.array(rows, dtype=float).reshape(-1, 5)
+
+    def __len__(self) -> int:
+        return self._sweeps.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        sweep = float(self._sweeps[i])
+        if not self._feasible[i]:
+            return FrontierPoint(sweep=sweep, feasible=False, point=None, params={})
+        r_a, d, delta, alpha, beta = self._rows[i].tolist()
+        return FrontierPoint(sweep=sweep, feasible=True,
+                             point=RegionPoint(r_a, math.inf, d, delta),
+                             params={"alpha": alpha, "beta": beta})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _BinaryPoints)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class FrontierResult:
-    points: tuple[FrontierPoint, ...]
+    points: tuple[FrontierPoint, ...] | _BinaryPoints
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.points, _BinaryPoints):
+            object.__setattr__(self, "points", tuple(self.points))
         sweeps = [p.sweep for p in self.points]
         if any(b < a for a, b in zip(sweeps, sweeps[1:])):
             raise ValidationError("frontier points must be sorted by sweep value")
-        object.__setattr__(self, "points", tuple(self.points))
 
     def deltas(self) -> np.ndarray:
         return np.array([p.point.delta if p.feasible else np.nan for p in self.points])
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps({"points": [asdict(p) for p in self.points],
+                           "provenance": self.provenance}, sort_keys=True)
 
     def to_csv(self) -> str:
         scalar_keys = sorted(
@@ -203,6 +244,8 @@ def _binary_maximize(p, eps, alpha_range, *, force_beta_zero):
     with a half-width of two spacings of the previous grid, clipped to the
     box; the search stops once the spacing drops below ``_TOL / 10``.
     Ties go to the first grid and then to the smaller (alpha, beta) index.
+    Every grid lies inside the box, so the caller range-checks p, eps and the
+    box once and the grids use the unchecked closed form.
     """
     box_lo = np.array([alpha_range[0], 0.0])
     box_hi = np.array([alpha_range[1], 0.0 if force_beta_zero else 0.5])
@@ -210,7 +253,7 @@ def _binary_maximize(p, eps, alpha_range, *, force_beta_zero):
     best = None
     while True:
         alphas, betas = (np.linspace(l, h, _COARSE if h > l else 1) for l, h in zip(lo, hi))
-        vals = binary_bec_bsc_bounds(p, eps, alphas[:, None], betas[None, :]).delta_max
+        _, _, vals = binary_bec_bsc_bounds_unchecked(p, eps, alphas[:, None], betas[None, :])
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         if best is None or vals[i, j] > best[2]:
             best = (float(alphas[i]), float(betas[j]), float(vals[i, j]))
@@ -243,13 +286,14 @@ def binary_frontier(
     d_grid = [float(x) for x in d_grid]
     if any(b < a for a, b in zip(d_grid, d_grid[1:])):
         raise ValidationError("d_grid must be nondecreasing")
-    points = []
+    feasible, rows = [], []
     for d in d_grid:
         if not d >= -SLACK:
             raise ValidationError(f"distortion must be a non-negative number, got {d}")
         rng_box = _binary_alpha_range(eps, max(d, 0.0), rate_cap)
+        feasible.append(rng_box is not None)
         if rng_box is None:
-            points.append(FrontierPoint(sweep=d, feasible=False, point=None, params={}))
+            rows.append((math.nan,) * 5)
             continue
         alpha, beta, delta = _binary_maximize(p, eps, rng_box, force_beta_zero=force_beta_zero)
         bounds = binary_bec_bsc_bounds(p, eps, alpha, beta)
@@ -257,16 +301,9 @@ def binary_frontier(
             raise RuntimeError(f"frontier candidate failed re-validation at D={d}")
         if rate_cap is not None and bounds.r_a_min > rate_cap + 1e-6:
             raise RuntimeError(f"frontier candidate violates rate cap at D={d}")
-        points.append(
-            FrontierPoint(
-                sweep=d,
-                feasible=True,
-                point=RegionPoint(bounds.r_a_min, math.inf, bounds.d_min, max(0.0, delta)),
-                params={"alpha": alpha, "beta": beta},
-            )
-        )
+        rows.append((bounds.r_a_min, bounds.d_min, max(0.0, delta), alpha, beta))
     return FrontierResult(
-        tuple(points),
+        _BinaryPoints(d_grid, feasible, rows),
         provenance={
             "model": "binary_bec_bsc", "p": p, "eps": eps, "rate_cap": rate_cap,
             "force_beta_zero": force_beta_zero, "coarse": _COARSE, "tol": _TOL,
@@ -279,8 +316,15 @@ def binary_merge_threshold(
 ) -> float:
     """Distortion above which the single-layer family is already optimal.
 
-    Bisects on the gap Delta_opt(D) - Delta_wz(D) <= gap_tol.
+    Bisects on the gap Delta_opt(D) - Delta_wz(D) <= gap_tol over
+    0 <= lo <= D <= hi, both finite, with a finite gap_tol >= 0.
     """
+    _check_binary(p, eps, 0.0, 0.0)
+    if not 0.0 <= lo <= hi < math.inf:
+        raise ValidationError(f"need finite 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    if not 0.0 <= gap_tol < math.inf:
+        raise ValidationError(f"gap_tol must be finite and non-negative, got {gap_tol}")
+
     def gap(d: float) -> float:
         box = _binary_alpha_range(eps, d, None)
         _, _, opt = _binary_maximize(p, eps, box, force_beta_zero=False)
@@ -530,6 +574,7 @@ def generic_inner_frontier(
     The reported value is a lower bound on the true frontier.
     """
     na, nc, _ = source.alphabet_sizes
+    check_distortion(source, d)
     cap_u, cap_v, cap_w = _checked_caps(source, prop1_caps(source) if caps is None else caps)
     if fixed_w_given_c is not None and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
@@ -852,6 +897,7 @@ def brute_force_oracle(
     product) is refused with ``BudgetError``.
     """
     na, nc, _ = source.alphabet_sizes
+    check_distortion(source, d)
     cu, cv, cw = caps = _checked_caps(source, caps)
     if not 0.0 < grid_step <= 1.0:
         raise ValidationError(f"grid_step must lie in (0, 1], got {grid_step}")

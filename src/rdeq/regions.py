@@ -79,7 +79,10 @@ class AuxiliarySystem:
     reconstruction: np.ndarray
 
     def __post_init__(self) -> None:
-        recon = np.asarray(self.reconstruction, dtype=int)
+        recon = np.asarray(self.reconstruction)
+        if recon.dtype.kind not in "biuf" or not np.all(recon % 1 == 0):
+            raise ValidationError("reconstruction symbols must be integers")
+        recon = recon.astype(int)
         nv = self.v_given_a.output_size
         nw = self.w_given_c.output_size
         if recon.shape != (nv, nw):
@@ -166,13 +169,19 @@ def _check_binary(p, eps, alpha, beta) -> tuple[np.ndarray, ...]:
 # coded side information: inner region and corner points
 # ---------------------------------------------------------------------------
 
+def check_distortion(source: JointSource, d: DistortionMeasure) -> None:
+    """Reject a distortion table without |A| rows."""
+    na = source.alphabet_sizes[0]
+    rows = d.table.shape[0]
+    if rows != na:
+        raise ValidationError(f"distortion table must have |A| = {na} rows, got {rows}")
+
+
 def check_reconstruction(source: JointSource, d: DistortionMeasure, recon: np.ndarray) -> None:
     """Reject a distortion table without |A| rows, or a reconstruction map with
     a symbol outside [0, table columns)."""
-    na = source.alphabet_sizes[0]
-    rows, cols = d.table.shape
-    if rows != na:
-        raise ValidationError(f"distortion table must have |A| = {na} rows, got {rows}")
+    check_distortion(source, d)
+    cols = d.table.shape[1]
     if not np.all((recon >= 0) & (recon < cols)):
         raise ValidationError(f"reconstruction symbols must lie in [0, {cols}), "
                               f"the distortion table's columns")
@@ -373,6 +382,16 @@ def gaussian_optimal_no_eve_si(rho_c: float, r_c: float, d: float) -> GaussianBo
 # binary BEC/BSC closed forms
 # ---------------------------------------------------------------------------
 
+def binary_bec_bsc_bounds_unchecked(p, eps, alpha, beta) -> tuple:
+    """Unvalidated elementwise (R_A, D, Delta) rows of ``binary_bec_bsc_bounds``:
+    the one closed-form expression, for callers whose arguments lie in range."""
+    h_alpha = h2_unchecked(alpha)
+    ab = star_unchecked(alpha, beta)
+    return (eps * (1.0 - h_alpha), eps * alpha,
+            (eps * h_alpha + (1.0 - eps) * h2_unchecked(ab)
+             - h2_unchecked(star_unchecked(p, ab)) + h2_unchecked(p)))
+
+
 def binary_bec_bsc_bounds(p, eps, alpha, beta) -> UncodedBounds:
     """Closed-form uncoded region of the uniform binary source with BEC(eps)
     side information at Bob and BSC(p) at Eve, on the chain
@@ -382,11 +401,7 @@ def binary_bec_bsc_bounds(p, eps, alpha, beta) -> UncodedBounds:
     has the arguments' broadcast shape, and scalar arguments give floats.
     """
     p, eps, alpha, beta = _check_binary(p, eps, alpha, beta)
-    h_alpha = h2_unchecked(alpha)
-    ab = star_unchecked(alpha, beta)
-    rows = (eps * (1.0 - h_alpha), eps * alpha,
-            (eps * h_alpha + (1.0 - eps) * h2_unchecked(ab)
-             - h2_unchecked(star_unchecked(p, ab)) + h2_unchecked(p)))
+    rows = binary_bec_bsc_bounds_unchecked(p, eps, alpha, beta)
     return UncodedBounds(*(map(float, rows) if p.ndim == 0 else rows))
 
 

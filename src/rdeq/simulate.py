@@ -32,6 +32,7 @@ TRIAL_SHARD = 2048          # trials per seeding shard; fixed for reproducibilit
 _SAMPLE_BATCH = 4096        # candidate draws per rejection-sampling round
 _MAX_SAMPLE_ROUNDS = 500
 _PAIRS = 4096               # (codeword, row) pairs per typicality call in a codeword search
+_SUBSET_BITS = 16           # most symbols of a search's two alphabets for its type table
 _GATHER_FLOATS = 1 << 22    # factor-row floats gathered per equivocation GEMM (32 MiB)
 _WORK_BUDGET = 1 << 32      # default multiply-adds of exact equivocation (binary n = 16)
 _STATE_BUDGET = 1 << 24     # default source sequences enumerated for exact equivocation
@@ -45,9 +46,9 @@ _TABLE_ROWS = 4096          # source sequences encoded per batch of the message 
 def _row_counts(rows: np.ndarray, n_vals: int) -> np.ndarray:
     """Occurrence counts per row of an integer matrix; shape (m, n_vals)."""
     m = rows.shape[0]
-    off = (np.arange(m, dtype=np.int64) * n_vals)[:, None]
-    flat = (rows.astype(np.int64) + off).ravel()
-    return np.bincount(flat, minlength=m * n_vals).reshape(m, n_vals)
+    flat = rows.astype(np.int64)
+    flat += (np.arange(m, dtype=np.int64) * n_vals)[:, None]
+    return np.bincount(flat.ravel(), minlength=m * n_vals).reshape(m, n_vals)
 
 
 def _typical(counts: np.ndarray, n: int, target: np.ndarray, p: np.ndarray,
@@ -306,17 +307,82 @@ def _first_hit(count: int, m: int, typical) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(result, 0), result < 0
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a matrix and the index of each row among them."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ordered[new], ids
+
+
+def _allowed_types(cw_types: np.ndarray, row_types: np.ndarray, p_joint: np.ndarray,
+                   n: int, delta: float) -> np.ndarray:
+    """Which (codeword type, row type) pairs admit a joint type that ``_typical``
+    accepts under ``p_joint``, as a (len(cw_types), len(row_types)) mask.
+
+    Types are symbol counts of length-n sequences.  Cell (x, y) passes for the
+    counts N = lo..hi: ``_typical``'s expression is evaluated at every N, and
+    N/n - p is nondecreasing in N in floating point too, so the passing counts
+    form an interval.  An integer matrix with row sums r, column sums s and
+    lo <= N <= hi exists iff r(X) - s(Y) <= hi(X x Y') - lo(X' x Y) for every
+    set X of codeword symbols and Y of row symbols, with ' the complement
+    (Hoffman's circulation theorem).  Above ``_SUBSET_BITS`` symbols in all,
+    every pair is allowed rather than testing that many subset pairs.
+    """
+    kx, ky = p_joint.shape
+    allowed = np.ones((len(cw_types), len(row_types)), dtype=bool)
+    if kx + ky > _SUBSET_BITS:
+        return allowed
+    counts = np.arange(n + 1)
+    p = p_joint[:, :, None]
+    ok = (np.abs(counts / n - p) <= delta + 1e-12) & ((p != 0.0) | (counts == 0))
+    if not ok.any(axis=2).all():
+        return ~allowed
+    lo, hi = ok.argmax(axis=2), n - ok[:, :, ::-1].argmax(axis=2)
+    xs = (np.arange(2 ** kx)[:, None] >> np.arange(kx)) & 1   # subset indicators
+    ys = (np.arange(2 ** ky)[:, None] >> np.arange(ky)) & 1
+    cap = xs @ hi @ (1 - ys).T - (1 - xs) @ lo @ ys.T         # (2^kx, 2^ky)
+    r_x, s_y = cw_types @ xs.T, row_types @ ys.T
+    for x in range(2 ** kx):
+        allowed &= r_x[:, x, None] <= (cap[x] + s_y).min(axis=1)
+    return allowed
+
+
 def _first_typical(cb: np.ndarray, rows: np.ndarray, p_joint: np.ndarray,
                    delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """First codeword of ``cb`` jointly typical with each row, as in ``_first_hit``."""
-    ky = p_joint.shape[1]
+    """First codeword of ``cb`` jointly typical with each row, as in ``_first_hit``.
 
-    def typical(cws, open_rows):
-        comb = cb[cws][:, None, :].astype(np.int64) * ky + rows[open_rows][None, :, :]
-        ok = typical_rows(comb.reshape(-1, rows.shape[1]), p_joint, delta)
-        return ok.reshape(cws.size, open_rows.size)
+    A row is tested only against the codewords whose type admits a typical
+    joint type with its own (``_allowed_types``), in index order, so the first
+    hit is the one of a full scan; a row whose type admits no codeword's type
+    fails without a test.  Rows whose types admit the same codeword types
+    share one scan.
+    """
+    kx, ky = p_joint.shape
+    n = rows.shape[1]
+    # codeword types symbol by symbol, so a large codebook needs no int64 copy
+    cw_counts = np.stack([np.count_nonzero(cb == x, axis=1) for x in range(kx)], axis=1)
+    cw_types, cw_type = _distinct_rows(cw_counts)
+    row_types, row_type = _distinct_rows(_row_counts(rows, ky))
+    patterns, pattern = _distinct_rows(_allowed_types(cw_types, row_types, p_joint, n, delta).T)
+    group = pattern[row_type]
+    index = np.zeros(rows.shape[0], dtype=np.int64)
+    failed = np.ones(rows.shape[0], dtype=bool)
+    for g in np.nonzero(patterns.any(axis=1))[0]:
+        members = np.nonzero(group == g)[0]
+        cands = np.nonzero(patterns[g][cw_type])[0]
 
-    return _first_hit(cb.shape[0], rows.shape[0], typical)
+        def typical(cws, open_rows):
+            comb = (cb[cands[cws]][:, None, :].astype(np.int64) * ky
+                    + rows[members[open_rows]][None, :, :])
+            return typical_rows(comb.reshape(-1, n), p_joint, delta).reshape(cws.size, -1)
+
+        hit, failed[members] = _first_hit(cands.size, members.size, typical)
+        index[members] = np.where(failed[members], 0, cands[hit])
+    return index, failed
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,32 @@ def oracle_first_typical(codebook, rows, p_joint, delta):
     return out
 
 
+def _compositions(n, k):
+    """Every tuple of k non-negative integers summing to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def oracle_typical_margins(p_joint, n, delta):
+    """The (row sums, column sums) pairs of every joint type of length-n
+    sequences that ``oracle_typical`` accepts under p(x, y), found by
+    enumerating every kx x ky matrix of counts summing to n."""
+    kx, ky = len(p_joint), len(p_joint[0])
+    flat = [p for prow in p_joint for p in prow]
+    out = set()
+    for cells in _compositions(n, kx * ky):
+        if all(abs(c / n - p) <= delta + 1e-12 and (p > 0.0 or c == 0)
+               for c, p in zip(cells, flat)):
+            rows = tuple(sum(cells[x * ky:(x + 1) * ky]) for x in range(kx))
+            cols = tuple(sum(cells[y::ky]) for y in range(ky))
+            out.add((rows, cols))
+    return out
+
+
 def oracle_first_refinement(u_words, v_books, rows, p_va_given_u, delta):
     """For each row a^n, the index of the first v^n of its book v_books[i] with
     (v^n, a^n) conditionally typical given u_words[i], or -1; one pair at a time."""

@@ -260,6 +260,7 @@ class TestSimulateCommand:
         (("code", "delta_n"), float("nan")),
         (("system", "reconstruction"), [[0, 0, -1], [0, 1, 1]]),
         (("system", "reconstruction"), [[0, 0, 5], [0, 1, 1]]),
+        (("system", "reconstruction"), [[0, 0.9, 1.7], [0, 1, 1]]),
         (("distortion",), {"table": [[0, 1]]}),
         (("distortion",), {"table": [[0, 1], [1, 0], [1, 1]]}),
     ], ids=lambda v: "/".join(v) if isinstance(v, tuple) else repr(v))

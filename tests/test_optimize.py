@@ -17,7 +17,7 @@ from _oracles import (
 )
 from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2, h2_inv
 from rdeq.probability import entropy, make_bec_bsc_source
-from rdeq import optimize
+from rdeq import optimize, regions
 from rdeq.optimize import (
     _INFEASIBLE_BASE,
     SLACK,
@@ -78,6 +78,23 @@ class TestBinaryFrontier:
         assert pt.params["alpha"] == pytest.approx(0.031, abs=1e-3)
         assert pt.params["beta"] == pytest.approx(0.050, abs=2e-3)
 
+    def test_column_points_read_as_point_objects(self):
+        # the columns of a binary frontier give the FrontierPoints that a
+        # result built from them holds, in every reading and in JSON
+        cap = 0.8 * EPS_STAR
+        fr = binary_frontier(0.1, EPS_STAR, [0.0, 0.001, 0.02, 0.1], rate_cap=cap)
+        as_tuple = FrontierResult(tuple(fr.points), fr.provenance)
+        assert [p.feasible for p in fr.points] == [False, False, True, True]
+        assert fr.points[0] == FrontierPoint(sweep=0.0, feasible=False, point=None, params={})
+        assert fr == as_tuple and as_tuple == fr and fr.points == as_tuple.points
+        assert fr.to_json() == as_tuple.to_json() and fr.to_csv() == as_tuple.to_csv()
+        assert len(fr.points) == 4 and fr.points[-1] == as_tuple.points[3]
+        assert fr.points[1:3] == as_tuple.points[1:3]
+        assert repr(fr) == repr(as_tuple)
+        assert np.array_equal(fr.deltas(), as_tuple.deltas(), equal_nan=True)
+        with pytest.raises(IndexError):
+            fr.points[4]
+
     def test_wyner_ziv_merges_at_high_distortion(self):
         # optimal and single-layer searches coincide above the merge point
         for d in (0.04, 0.1):
@@ -119,6 +136,40 @@ class TestBinaryFrontier:
     def test_bad_grid(self):
         with pytest.raises(ValidationError):
             binary_frontier(0.1, EPS_STAR, [0.2, 0.1])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lo": -0.1}, {"lo": 0.3, "hi": 0.2}, {"hi": math.nan}, {"hi": math.inf},
+        {"gap_tol": math.nan}, {"gap_tol": -1e-6},
+    ], ids=repr)
+    def test_merge_threshold_rejects_bad_range(self, kwargs):
+        with pytest.raises(ValidationError):
+            binary_merge_threshold(0.1, EPS_STAR, **kwargs)
+
+    @pytest.mark.parametrize("p, eps", [(math.nan, 0.5), (0.7, 0.5), (0.1, 1.5), (0.1, -0.1)])
+    def test_merge_threshold_rejects_bad_source(self, p, eps):
+        with pytest.raises(ValidationError):
+            binary_merge_threshold(p, eps)
+
+    def test_search_grids_stay_in_range(self, monkeypatch):
+        # the grids call the closed form unchecked: every argument must lie in range
+        core = regions.binary_bec_bsc_bounds_unchecked
+        calls = []
+
+        def checked(p, eps, alpha, beta):
+            for x, hi in ((p, 0.5), (eps, 1.0), (alpha, 0.5), (beta, 0.5)):
+                assert np.all((np.asarray(x) >= 0.0) & (np.asarray(x) <= hi))
+            calls.append(1)
+            return core(p, eps, alpha, beta)
+
+        monkeypatch.setattr(optimize, "binary_bec_bsc_bounds_unchecked", checked)
+        monkeypatch.setattr(regions, "binary_bec_bsc_bounds_unchecked", checked)
+        grid = [0.0, *np.geomspace(1e-4, 0.2, 25), 0.5]
+        for p, eps in ((0.1, EPS_STAR), (0.0, 0.5), (0.5, 1.0), (0.3, 0.0)):
+            binary_frontier(p, eps, grid)
+            binary_frontier(p, eps, grid, force_beta_zero=True)
+            binary_frontier(p, eps, grid, rate_cap=0.8 * eps)
+        binary_merge_threshold(0.1, EPS_STAR)
+        assert len(calls) > 1000
 
     def test_closed_form_disagreement_fails_revalidation(self, monkeypatch):
         # a re-evaluated Delta 1e-6 above the searched one is as wrong as one below
@@ -235,6 +286,17 @@ class TestGenericInnerFrontier:
         a = generic_inner_frontier(src, HAMMING2, (2, 2, 2), cons, n_starts=6, seed=9, workers=1)
         b = generic_inner_frontier(src, HAMMING2, (2, 2, 2), cons, n_starts=6, seed=9, workers=2)
         assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("search", [
+    lambda src, d: generic_inner_frontier(src, d, (2, 2, 2), n_starts=1),
+    lambda src, d: brute_force_oracle(src, d, (2, 2, 2), 0.5),
+], ids=["ascent", "oracle"])
+def test_search_rejects_table_not_fitting_the_source(search):
+    # a three-row table on binary A, checked at entry rather than by a broadcast error
+    src = make_bec_bsc_source(0.1, h2(0.1))
+    with pytest.raises(ValidationError, match="distortion table"):
+        search(src, DistortionMeasure.hamming(3))
 
 
 def test_each_search_call_starts_one_pool(monkeypatch):

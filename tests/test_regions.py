@@ -320,6 +320,12 @@ class TestDistortionFit:
         with pytest.raises(ValidationError, match="distortion table|reconstruction symbols"):
             evaluate(src, d, np.array(recon))
 
+    def test_fractional_reconstruction_rejected(self):
+        # it would otherwise be truncated to [[0, 0, 1], [0, 1, 1]]
+        with pytest.raises(ValidationError, match="integers"):
+            AuxiliarySystem(Channel.bsc(0.1), Channel.bsc(0.05), Channel.identity(3),
+                            [[0, 0.9, 1.7], [0, 1, 1]])
+
     def test_wider_table_fits(self):
         # a reconstruction alphabet larger than A is allowed: symbol 2 is "erased"
         src = make_bec_bsc_source(0.1, h2(0.1))

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from _oracles import (
     oracle_first_refinement,
     oracle_first_typical,
     oracle_message_equivocation,
+    oracle_typical_margins,
 )
 from rdeq import BudgetError, Channel, DistortionMeasure, ValidationError, h2, simulate
 from rdeq.probability import make_bec_bsc_source, JointSource
@@ -314,6 +316,27 @@ def with_fallback(idx, failed):
     return np.where(failed, -1, idx).tolist()
 
 
+def small_law(seed):
+    """(p(x, y), n, delta) of a random law with zero cells.  Seeds 0, 3, ...
+    put it on the 1/n grid with a slack below 1/(2n), so one count per cell
+    passes; seeds 2, 5, ... give a slack below 1/(2n), so mostly some cell
+    passes no count.  "slack" is a law whose cell 0.7 passes N = 9 at
+    delta = 0.2 and n = 10 only through the 1e-12 float slack of
+    ``_typical``: 0.9 - 0.7 rounds to 0.20000000000000007."""
+    if seed == "slack":
+        return np.array([[0.7, 0.1], [0.1, 0.1]]), 10, 0.2
+    rng = np.random.default_rng(seed)
+    kx, ky = (int(k) for k in rng.integers(2, 4, size=2))
+    n = int(rng.integers(4, 10))
+    if seed % 3:
+        p = rng.random((kx, ky)) * (rng.random((kx, ky)) > 0.25)
+        p[0, 0] += 0.1
+    else:
+        p = np.bincount(rng.integers(0, kx * ky, n), minlength=kx * ky).reshape(kx, ky) * 1.0
+    delta = 0.05 + 0.25 * rng.random() if seed % 3 == 1 else 0.5 / n * rng.random()
+    return p / p.sum(), n, delta
+
+
 class TestCodewordSearch:
     """Block scans and the decoder against one-pair-at-a-time oracles."""
 
@@ -373,27 +396,78 @@ class TestCodewordSearch:
         else:
             assert inst.encode_charlie(seq) == inst.encode_charlie(seq.astype(int))
 
+    @pytest.mark.parametrize("seed", [*range(12), "slack"])
+    def test_type_table_matches_enumerated_joint_types(self, seed):
+        p, n, delta = small_law(seed)
+        kx, ky = p.shape
+        cw_types = np.array([r for r in product(range(n + 1), repeat=kx) if sum(r) == n])
+        row_types = np.array([s for s in product(range(n + 1), repeat=ky) if sum(s) == n])
+        got = simulate._allowed_types(cw_types, row_types, p, n, delta)
+        want = oracle_typical_margins(p.tolist(), n, delta)
+        assert got.tolist() == [[(tuple(r), tuple(s)) in want for s in row_types.tolist()]
+                                for r in cw_types.tolist()]
+
+    def test_type_table_decides_the_scan(self, monkeypatch):
+        # every pair allowed changes no result; one allowed pair dropped does
+        src, inst = two_layer_code()
+        p_wc, delta = inst._dist["p_wc"], inst.config.delta
+        _, c = source_rows(src, 8, 60, seed=5)
+        want = oracle_first_typical(inst.w_cb.tolist(), c.tolist(), p_wc.tolist(), delta)
+        monkeypatch.setattr(simulate, "_SUBSET_BITS", 0)
+        assert with_fallback(*inst._encode_charlie_rows(c)) == want
+        monkeypatch.undo()
+
+        t = next(t for t, s in enumerate(want) if s >= 0)
+        drop = (np.bincount(inst.w_cb[want[t]], minlength=3), np.bincount(c[t], minlength=3))
+        real = simulate._allowed_types
+
+        def wrong(cw_types, row_types, *args):
+            allowed = real(cw_types, row_types, *args)
+            (i,), (j,) = ((types == typ).all(axis=1).nonzero()
+                          for types, typ in zip((cw_types, row_types), drop))
+            assert allowed[i, j]
+            allowed[i, j] = False
+            return allowed
+
+        monkeypatch.setattr(simulate, "_allowed_types", wrong)
+        assert with_fallback(*inst._encode_charlie_rows(c)) != want
+
     def test_single_sequence_charlie_scans_in_blocks(self, monkeypatch):
-        # criterion 8's n = 14 code: a sequence with no typical helper codeword
-        # walks all 21,709 codewords in ceil(21,709 / _PAIRS) typicality calls
+        # criterion 8's n = 14 code: the type table settles the all-zero c^n,
+        # which has no typical helper codeword, with no typicality call; the
+        # sorted c^n of type (1, 5, 8) walks only the codewords whose type
+        # admits a typical joint type with it, in index order and _PAIRS blocks
         src = make_bec_bsc_source(SWEEP_P, h2(SWEEP_P))
         sys = wz_system(SWEEP_ALPHA, SWEEP_W, SWEEP_RECON)
         inst = generate_codebooks(src, sys, sweep_config(14))
+        p_wc, delta = inst._dist["p_wc"].tolist(), inst.config.delta
         calls = []
 
         def counted(seqs, probs, delta):
-            calls.append(len(seqs))
+            calls.append(seqs // 3)
             return typical_rows(seqs, probs, delta)
 
         monkeypatch.setattr(simulate, "typical_rows", counted)
+        monkeypatch.setattr(simulate, "_PAIRS", 32)
         c_n = np.zeros(14, dtype=int)
         enc = inst.encode_charlie(c_n)
         (want,) = oracle_first_typical(inst.w_cb.tolist(), [c_n.tolist()],
                                        inst._dist["p_wc"].tolist(), inst.config.delta)
         assert want == -1 and enc.failed and enc.s == 0
         assert inst.config.num_w == 21_709
-        assert len(calls) == math.ceil(21_709 / simulate._PAIRS)
-        assert sum(calls) == 21_709
+        assert calls == []
+
+        c_n = np.repeat([0, 1, 2], [1, 5, 8])
+        enc = inst.encode_charlie(c_n)
+        (want,) = oracle_first_typical(inst.w_cb.tolist(), [c_n.tolist()], p_wc, delta)
+        assert (enc.s, enc.failed) == (want, False)
+        margins = oracle_typical_margins(p_wc, 14, delta)
+        cands = [s for s, word in enumerate(inst.w_cb.tolist())
+                 if (tuple(word.count(x) for x in range(3)), (1, 5, 8)) in margins]
+        blocks = cands.index(want) // 32 + 1
+        assert len(cands) > 32 * blocks and len(calls) == blocks
+        for i, words in enumerate(calls):
+            assert words.tolist() == inst.w_cb[cands[32 * i:32 * (i + 1)]].tolist()
 
     def test_decoder_matches_triple_loop(self):
         # the multi-candidate toy of the ambiguity test above, at n = 8
