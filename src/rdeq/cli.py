@@ -49,10 +49,13 @@ TABLE_VALUE_TOL = 0.002
 TABLE_PARAM_TOL = 0.003
 MERGE_TOL = 0.003
 
+# reference values per table column; "equivocation" and "delta" are both Delta
 TABLE_REFERENCE = {
-    "lossless": {"rate": 0.469, "distortion": 0.0, "delta": 0.039, "alpha": 0.0, "beta": 0.078},
-    "capped": {"rate": 0.375, "distortion": 0.015, "delta": 0.133, "alpha": 0.031, "beta": 0.050},
-    "capped_wz": {"delta": 0.126},
+    "lossless": {"rate": 0.469, "distortion": 0.0, "equivocation": 0.039, "alpha": 0.0,
+                 "beta": 0.078},
+    "capped": {"rate": 0.375, "distortion": 0.015, "equivocation": 0.133, "alpha": 0.031,
+               "beta": 0.050},
+    "capped single-layer": {"delta": 0.126},
 }
 
 
@@ -79,6 +82,18 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+
+
+def _write_table(args, header: dict, columns: list[str], rows: list[dict]) -> None:
+    """``rows`` as JSON (``header`` plus the rows, full precision) or as CSV of
+    ``columns``: a missing or None value is a blank cell, any other is ``.6g``."""
+    if args.format == "json":
+        _emit(json.dumps({**header, "rows": rows}, sort_keys=True), args.out)
+    else:
+        lines = [",".join(columns)]
+        lines += [",".join("" if r.get(c) is None else f"{r[c]:.6g}" for c in columns)
+                  for r in rows]
+        _emit("\n".join(lines), args.out)
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:
@@ -129,20 +144,8 @@ def cmd_binary(args) -> int:
     if not any(r.get("feasible") for r in rows):
         print("no feasible point on the requested grid", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if args.format == "json":
-        _emit(json.dumps({"p": p, "eps": eps, "rate_cap": args.rate_cap, "rows": rows},
-                         sort_keys=True), args.out)
-    else:
-        lines = ["D,Delta_opt,Delta_wz,alpha,beta"]
-        for r in rows:
-            if not r["feasible"]:
-                lines.append(f"{r['D']:.6g},,,,")
-            else:
-                wz_cell = "" if r["Delta_wz"] is None else f"{r['Delta_wz']:.6g}"
-                lines.append(
-                    f"{r['D']:.6g},{r['Delta_opt']:.6g},{wz_cell},{r['alpha']:.6g},{r['beta']:.6g}"
-                )
-        _emit("\n".join(lines), args.out)
+    _write_table(args, {"p": p, "eps": eps, "rate_cap": args.rate_cap},
+                 ["D", "Delta_opt", "Delta_wz", "alpha", "beta"], rows)
     return EXIT_OK
 
 
@@ -164,17 +167,8 @@ def cmd_gaussian(args) -> int:
                     raise RuntimeError("inner bound does not match the exact region at rho_e = 0")
             rows.append({"R_C": rc, "D": d, "R_A_min": b.r_a_min,
                          "Delta_max": b.delta_max, "exact": exact})
-    if args.format == "json":
-        _emit(json.dumps({"rho_c": args.rho_c, "rho_e": args.rho_e, "rows": rows},
-                         sort_keys=True, default=str), args.out)
-    else:
-        lines = ["R_C,D,R_A_min,Delta_max,exact"]
-        for r in rows:
-            rc_cell = "inf" if math.isinf(r["R_C"]) else f"{r['R_C']:.6g}"
-            lines.append(
-                f"{rc_cell},{r['D']:.6g},{r['R_A_min']:.6g},{r['Delta_max']:.6g},{int(r['exact'])}"
-            )
-        _emit("\n".join(lines), args.out)
+    _write_table(args, {"rho_c": args.rho_c, "rho_e": args.rho_e},
+                 ["R_C", "D", "R_A_min", "Delta_max", "exact"], rows)
     return EXIT_OK
 
 
@@ -279,29 +273,25 @@ def _check(name: str, got: float, want: float, tol: float, failures: list) -> st
 def reproduce_table3() -> tuple[list[str], list[str]]:
     p = 0.1
     eps = h2(p)
-    lines, failures = [], []
-    # lossless column: D = 0 pins alpha = 0, the helper layer is free
-    pt = binary_frontier(p, eps, [0.0]).points[0]
-    ref = TABLE_REFERENCE["lossless"]
-    lines.append(_check("lossless rate", pt.point.r_a, ref["rate"], TABLE_VALUE_TOL, failures))
-    lines.append(_check("lossless distortion", pt.point.d, ref["distortion"], TABLE_VALUE_TOL, failures))
-    lines.append(_check("lossless equivocation", pt.point.delta, ref["delta"], TABLE_VALUE_TOL, failures))
-    lines.append(_check("lossless alpha", pt.params["alpha"], ref["alpha"], TABLE_PARAM_TOL, failures))
-    lines.append(_check("lossless beta", pt.params["beta"], ref["beta"], TABLE_PARAM_TOL, failures))
-    # rate capped to 80% of the lossless rate; distortion pinned to the
-    # level the cap induces
+    # lossless column: D = 0 pins alpha = 0, the helper layer is free; the
+    # capped columns cap the rate to 80% of the lossless rate and pin the
+    # distortion to the level the cap induces
     cap = 0.8 * eps
     d_induced = eps * h2_inv(1.0 - cap / eps)
-    pt = binary_frontier(p, eps, [d_induced], rate_cap=cap).points[0]
-    ref = TABLE_REFERENCE["capped"]
-    lines.append(_check("capped rate", pt.point.r_a, ref["rate"], TABLE_VALUE_TOL, failures))
-    lines.append(_check("capped distortion", pt.point.d, ref["distortion"], TABLE_VALUE_TOL, failures))
-    lines.append(_check("capped equivocation", pt.point.delta, ref["delta"], TABLE_VALUE_TOL, failures))
-    lines.append(_check("capped alpha", pt.params["alpha"], ref["alpha"], TABLE_PARAM_TOL, failures))
-    lines.append(_check("capped beta", pt.params["beta"], ref["beta"], TABLE_PARAM_TOL, failures))
-    wz = binary_frontier(p, eps, [d_induced], rate_cap=cap, force_beta_zero=True).points[0]
-    lines.append(_check("capped single-layer delta", wz.point.delta,
-                        TABLE_REFERENCE["capped_wz"]["delta"], TABLE_VALUE_TOL, failures))
+    points = {
+        "lossless": binary_frontier(p, eps, [0.0]).points[0],
+        "capped": binary_frontier(p, eps, [d_induced], rate_cap=cap).points[0],
+        "capped single-layer": binary_frontier(p, eps, [d_induced], rate_cap=cap,
+                                               force_beta_zero=True).points[0],
+    }
+    lines, failures = [], []
+    for column, refs in TABLE_REFERENCE.items():
+        pt = points[column]
+        got = {"rate": pt.point.r_a, "distortion": pt.point.d, "equivocation": pt.point.delta,
+               "delta": pt.point.delta, **pt.params}
+        for name, want in refs.items():
+            tol = TABLE_PARAM_TOL if name in pt.params else TABLE_VALUE_TOL
+            lines.append(_check(f"{column} {name}", got[name], want, tol, failures))
     return lines, failures
 
 
@@ -426,15 +416,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as err:
+    except (ValidationError, FileNotFoundError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetError as err:
         print(f"budget refused: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

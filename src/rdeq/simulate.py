@@ -53,21 +53,17 @@ def _row_counts(rows: np.ndarray, n_vals: int) -> np.ndarray:
 
 def _typical(counts: np.ndarray, n: int, target: np.ndarray, p: np.ndarray,
              delta: float) -> np.ndarray:
-    """The one typicality rule, per row of cell counts N: |N/n - target| <= delta
-    in every cell (up to a 1e-12 float slack), and N = 0 wherever the law
-    ``p`` has a zero cell."""
-    ok = (np.abs(counts / n - target) <= delta + 1e-12).all(axis=1)
-    zero = p.ravel() == 0.0
-    if zero.any():
-        ok &= (counts[:, zero] == 0).all(axis=1)
-    return ok
+    """The one typicality rule, elementwise over cell counts N: |N/n - target|
+    <= delta (up to a 1e-12 float slack), and N = 0 where the law ``p`` is 0.
+    A sequence is typical when every one of its cells passes."""
+    return (np.abs(counts / n - target) <= delta + 1e-12) & ((p != 0.0) | (counts == 0))
 
 
 def typical_rows(seqs: np.ndarray, probs: np.ndarray, delta: float) -> np.ndarray:
     """Boolean mask of delta-typical rows w.r.t. the distribution ``probs``."""
     seqs = np.atleast_2d(seqs)
     probs = np.asarray(probs, dtype=float).ravel()
-    return _typical(_row_counts(seqs, probs.size), seqs.shape[1], probs, probs, delta)
+    return _typical(_row_counts(seqs, probs.size), seqs.shape[1], probs, probs, delta).all(axis=1)
 
 
 def conditionally_typical_pairs(x_rows: np.ndarray, y_rows: np.ndarray,
@@ -81,7 +77,8 @@ def conditionally_typical_pairs(x_rows: np.ndarray, y_rows: np.ndarray,
     nx = _row_counts(x_rows, kx)                              # (m, kx)
     target = nx[:, :, None] / n * p_y_given_x[None, :, :]     # (m, kx, ky)
     counts = _row_counts(x_rows.astype(np.int64) * ky + y_rows, kx * ky)
-    return _typical(counts, n, target.reshape(counts.shape), p_y_given_x, delta)
+    return _typical(counts, n, target.reshape(counts.shape), p_y_given_x.ravel(),
+                    delta).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +177,30 @@ class DecodeResult:
     a_hat: np.ndarray
 
 
+def _integers(x, size: int, what: str) -> np.ndarray:
+    """``x`` as an int64 array; every entry must be an integer in [0, size)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf" or not np.all((x >= 0) & (x < size) & (x % 1 == 0)):
+        raise ValidationError(f"{what} must be integers in [0, {size})")
+    return x.astype(np.int64)
+
+
+def _shaped(cls, shape: tuple, **rows: np.ndarray):
+    """A ``cls`` of per-row results in the batch shape ``shape``: Python
+    scalars (a row stays an array) for one sequence or request, else arrays."""
+    if shape == ():
+        return cls(**{key: v[0] if v.ndim > 1 else v[0].item() for key, v in rows.items()})
+    return cls(**{key: v.reshape(shape + v.shape[1:]) for key, v in rows.items()})
+
+
 @dataclass(frozen=True)
 class CodeInstance:
-    """Realized codebooks, round-robin bin maps and cached statistics."""
+    """Realized codebooks, round-robin bin maps and cached statistics.
+
+    Each party works on whole batches: the encoders take a (..., n) array
+    with one sequence per row of its last axis, and ``decode_bob`` broadcasts
+    its request arrays.  One sequence or request gives Python scalars.
+    """
 
     config: CodeConfig
     source: JointSource = field(repr=False)
@@ -204,25 +222,21 @@ class CodeInstance:
 
     # -- encoding ------------------------------------------------------------
 
-    def _row(self, seq: np.ndarray, axis: int) -> np.ndarray:
-        """One length-n sequence of the source's axis ``axis`` (0 for A, 1 for C)
-        as a (1, n) row; every symbol must be an integer in [0, |axis|)."""
+    def _sequences(self, seqs, axis: int) -> tuple[tuple, np.ndarray]:
+        """The batch shape of a (..., n) array of sequences of the source's
+        axis ``axis`` (0 for A, 1 for C), and its sequences as (m, n) rows."""
+        seqs = np.asarray(seqs)
+        n = self.config.n
+        if seqs.ndim == 0 or seqs.shape[-1] != n:
+            raise ValidationError(f"sequences must have length {n} along the last axis")
         size = self.source.alphabet_sizes[axis]
-        seq = np.asarray(seq)
-        if seq.shape != (self.config.n,):
-            raise ValidationError(f"sequence must have length {self.config.n}")
-        if seq.dtype.kind not in "iuf" or not np.all((seq >= 0) & (seq < size) & (seq % 1 == 0)):
-            raise ValidationError(f"sequence symbols must be integers in [0, {size})")
-        return seq.astype(np.int64)[None, :]
+        return seqs.shape[:-1], _integers(seqs, size, "sequence symbols").reshape(-1, n)
 
-    def _message(self, s1, s2):
-        """The public message J = r1 * bins_v + r2 of codeword indices (s1, s2)."""
-        return self.u_bin[s1] * self.config.bins_v + self.v_bin[s2]
-
-    def _encode_alice_rows(self, a_rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(s1, s2, failed_u, failed_v) per row a^n: the first u-codeword jointly
-        typical with a^n, then the first v-codeword of its book s1 with
-        (v^n, a^n) conditionally typical given u^n; a failed stage gives 0."""
+    def encode_alice(self, a_n) -> AliceEncoding:
+        """Per sequence a^n: s1, the first u-codeword jointly typical with a^n;
+        s2, the first v-codeword of book s1 with (v^n, a^n) conditionally
+        typical given u^n; their bins (r1, r2).  A failed stage gives index 0."""
+        shape, a_rows = self._sequences(a_n, 0)
         s1, failed_u = _first_typical(self.u_cb, a_rows, self._dist["p_ua"], self.config.delta)
         n = self.config.n
         nu, nv, na = self._dist["p_va_given_u"].shape
@@ -236,53 +250,60 @@ class CodeInstance:
             return ok.reshape(cws.size, open_rows.size)
 
         s2, failed_v = _first_hit(self.config.num_v, a_rows.shape[0], typical)
-        return s1, s2, failed_u, failed_v
+        return _shaped(AliceEncoding, shape, s1=s1, s2=s2, r1=self.u_bin[s1], r2=self.v_bin[s2],
+                       failed_u=failed_u, failed_v=failed_v)
 
-    def _encode_charlie_rows(self, c_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(s, failed) per row c^n: the first w-codeword jointly typical with c^n."""
-        return _first_typical(self.w_cb, c_rows, self._dist["p_wc"], self.config.delta)
+    def encode_charlie(self, c_n) -> CharlieEncoding:
+        """Per sequence c^n: s, the first w-codeword jointly typical with c^n
+        (0 on failure), and its bin r."""
+        shape, c_rows = self._sequences(c_n, 1)
+        s, failed = _first_typical(self.w_cb, c_rows, self._dist["p_wc"], self.config.delta)
+        return _shaped(CharlieEncoding, shape, s=s, r=self.w_bin[s], failed=failed)
 
-    def encode_alice(self, a_n: np.ndarray) -> AliceEncoding:
-        s1, s2, failed_u, failed_v = (x[0] for x in self._encode_alice_rows(self._row(a_n, 0)))
-        r1, r2 = divmod(int(self._message(s1, s2)), self.config.bins_v)
-        return AliceEncoding(s1=int(s1), s2=int(s2), r1=r1, r2=r2,
-                             failed_u=bool(failed_u), failed_v=bool(failed_v))
-
-    def encode_charlie(self, c_n: np.ndarray) -> CharlieEncoding:
-        (s,), (failed,) = self._encode_charlie_rows(self._row(c_n, 1))
-        return CharlieEncoding(s=int(s), r=int(self.w_bin[s]), failed=bool(failed))
-
-    def alice_message_index(self, a_n: np.ndarray) -> int:
-        """The public message J as a flat integer r1 * bins_v + r2."""
-        s1, s2, _, _ = self._encode_alice_rows(self._row(a_n, 0))
-        return int(self._message(s1, s2)[0])
+    def alice_message_index(self, a_n):
+        """The public message J = r1 * bins_v + r2 of each sequence a^n."""
+        enc = self.encode_alice(a_n)
+        return enc.r1 * self.config.bins_v + enc.r2
 
     # -- decoding ------------------------------------------------------------
 
-    def decode_bob(self, j: tuple[int, int], k: int) -> DecodeResult:
-        r1, r2 = j
+    def decode_bob(self, j, k) -> DecodeResult:
+        """Joint-typicality decoding of each request ((r1, r2), k), elementwise
+        over the broadcast request arrays: the first candidate triple of the
+        bins, in lexicographic (s1, s2, s) order, whose (u^n, v^n, w^n) is
+        typical under p(u, v, w), else the bins' first triple, and the number
+        of typical triples; ``success`` when exactly one is typical.
+
+        Bins are round-robin: bin r of a layer holds s = r + bins * o for the
+        offsets o with s below the codebook size, so bins differ in size by
+        one and a mask drops the offsets past the codebook.  Requests are
+        tested in blocks of about ``_PAIRS`` (request, candidate) pairs.
+        """
         cfg = self.config
-        if not (0 <= r1 < cfg.bins_u and 0 <= r2 < cfg.bins_v and 0 <= k < cfg.bins_w):
-            raise ValidationError("bin index out of range")
-        # bins are round-robin: bin r holds codewords r, r + bins, r + 2 bins, ...
-        m1, m2 = np.arange(r1, cfg.num_u, cfg.bins_u), np.arange(r2, cfg.num_v, cfg.bins_v)
-        mw = np.arange(k, cfg.num_w, cfg.bins_w)
+        nums, bins = (cfg.num_u, cfg.num_v, cfg.num_w), (cfg.bins_u, cfg.bins_v, cfg.bins_w)
+        requests = [_integers(x, b, "bin indices") for x, b in zip((*j, k), bins)]
+        try:
+            requests = np.broadcast_arrays(*requests)
+        except ValueError:
+            raise ValidationError("bin index arrays must broadcast together") from None
+        flat = [x.ravel() for x in requests]
+        offsets = np.indices([-(-num // b) for num, b in zip(nums, bins)]).reshape(3, -1)
         p_uvw = self._dist["p_uvw"]
-        nv, nw = p_uvw.shape[1:]
-        # every candidate triple of the bins, in lexicographic (s1, s2, s) order
-        comb = ((self.u_cb[m1].astype(np.int64)[:, None, None] * nv
-                 + self.v_cb[m1[:, None], m2][:, :, None]) * nw + self.w_cb[mw])
-        ok = typical_rows(comb.reshape(-1, cfg.n), p_uvw, cfg.delta)
-        # the first match, or the first candidate when nothing matches
-        i1, i2, i3 = np.unravel_index(int(ok.argmax()), comb.shape[:3])
-        s1, s2, s = int(m1[i1]), int(m2[i2]), int(mw[i3])
-        n_matches = int(ok.sum())
-        return DecodeResult(
-            success=n_matches == 1,
-            n_matches=n_matches,
-            s1=s1, s2=s2, s=s,
-            a_hat=self.system.reconstruction[self.v_cb[s1, s2], self.w_cb[s]],
-        )
+        _, nv, nw = p_uvw.shape
+        n_matches, first = np.empty((2, flat[0].size), dtype=np.int64)
+        step = max(1, _PAIRS // offsets.shape[1])
+        for lo in range(0, flat[0].size, step):
+            cands = [r[lo:lo + step, None] + b * o for r, b, o in zip(flat, bins, offsets)]
+            inside = np.logical_and.reduce([x < num for x, num in zip(cands, nums)])
+            s1, s2, s = (np.minimum(x, num - 1) for x, num in zip(cands, nums))
+            comb = (self.u_cb[s1].astype(np.int64) * nv + self.v_cb[s1, s2]) * nw + self.w_cb[s]
+            ok = typical_rows(comb.reshape(-1, cfg.n), p_uvw, cfg.delta).reshape(inside.shape)
+            ok &= inside
+            n_matches[lo:lo + step], first[lo:lo + step] = ok.sum(axis=1), ok.argmax(axis=1)
+        s1, s2, s = (r + b * o[first] for r, b, o in zip(flat, bins, offsets))
+        return _shaped(DecodeResult, requests[0].shape, success=n_matches == 1,
+                       n_matches=n_matches, s1=s1, s2=s2, s=s,
+                       a_hat=self.system.reconstruction[self.v_cb[s1, s2], self.w_cb[s]])
 
 
 def _first_hit(count: int, m: int, typical) -> tuple[np.ndarray, np.ndarray]:
@@ -336,9 +357,8 @@ def _allowed_types(cw_types: np.ndarray, row_types: np.ndarray, p_joint: np.ndar
     allowed = np.ones((len(cw_types), len(row_types)), dtype=bool)
     if kx + ky > _SUBSET_BITS:
         return allowed
-    counts = np.arange(n + 1)
     p = p_joint[:, :, None]
-    ok = (np.abs(counts / n - p) <= delta + 1e-12) & ((p != 0.0) | (counts == 0))
+    ok = _typical(np.arange(n + 1), n, p, p, delta)
     if not ok.any(axis=2).all():
         return ~allowed
     lo, hi = ok.argmax(axis=2), n - ok[:, :, ::-1].argmax(axis=2)
@@ -570,8 +590,7 @@ def encoder_message_table(instance: CodeInstance, *,
     out = np.empty(n_seq, dtype=np.int64)
     for lo in range(0, n_seq, _TABLE_ROWS):
         dig = _digits(np.arange(lo, min(lo + _TABLE_ROWS, n_seq), dtype=np.int64), na, n)
-        s1, s2, _, _ = instance._encode_alice_rows(dig)
-        out[lo:lo + dig.shape[0]] = instance._message(s1, s2)
+        out[lo:lo + dig.shape[0]] = instance.alice_message_index(dig)
     return out
 
 
@@ -655,25 +674,15 @@ def _run_shard(args) -> dict[str, np.ndarray]:
     flat = src.probs.ravel()
     # always draw the full shard block so a longer run extends a shorter one
     draw = rng.choice(flat.size, size=(TRIAL_SHARD, cfg.n), p=flat)[:shard_len]
-    na, nc, ne = src.alphabet_sizes
-    a = (draw // (nc * ne)).astype(np.int64)
-    c = ((draw // ne) % nc).astype(np.int64)
-
-    s1, s2, failed_u, failed_v = instance._encode_alice_rows(a)
-    s, failed_w = instance._encode_charlie_rows(c)
-    r1, r2 = np.divmod(instance._message(s1, s2), cfg.bins_v)
-    k = instance.w_bin[s]
-
-    dist = np.empty(shard_len)
-    error = np.empty(shard_len, dtype=bool)
-    ambiguous = np.empty(shard_len, dtype=bool)
-    for t in range(shard_len):
-        res = instance.decode_bob((int(r1[t]), int(r2[t])), int(k[t]))
-        dist[t] = d_table[a[t], res.a_hat].mean()
-        error[t] = not (res.n_matches == 1 and (res.s1, res.s2, res.s) == (s1[t], s2[t], s[t]))
-        ambiguous[t] = res.n_matches > 1
-    return {"s1": s1, "s2": s2, "s": s, "error": error, "ambiguous": ambiguous,
-            "distortion": dist, "alice_u": failed_u, "alice_v": failed_v, "charlie": failed_w}
+    _, nc, ne = src.alphabet_sizes
+    a, c = draw // (nc * ne), (draw // ne) % nc
+    alice = instance.encode_alice(a)
+    charlie = instance.encode_charlie(c)
+    bob = instance.decode_bob((alice.r1, alice.r2), charlie.r)
+    error = ~(bob.success & (bob.s1 == alice.s1) & (bob.s2 == alice.s2) & (bob.s == charlie.s))
+    return {"s1": alice.s1, "s2": alice.s2, "s": charlie.s, "error": error,
+            "ambiguous": bob.n_matches > 1, "distortion": d_table[a, bob.a_hat].mean(axis=1),
+            "alice_u": alice.failed_u, "alice_v": alice.failed_v, "charlie": charlie.failed}
 
 
 def run_experiment(

@@ -15,6 +15,8 @@ from rdeq import BudgetError, Channel, DistortionMeasure, ValidationError, h2, s
 from rdeq.probability import make_bec_bsc_source, JointSource
 from rdeq.regions import AuxiliarySystem, binary_bec_bsc_bounds
 from rdeq.simulate import (
+    AliceEncoding,
+    CharlieEncoding,
     CodeConfig,
     conditionally_typical_pairs,
     encoder_message_table,
@@ -347,14 +349,16 @@ class TestCodewordSearch:
         src, inst = two_layer_code()
         delta = inst.config.delta
         a, c = source_rows(src, 8, m, seed=5)
-        s1, s2, f_u, f_v = inst._encode_alice_rows(a)
+        enc = inst.encode_alice(a)
+        s1, s2, f_u, f_v = enc.s1, enc.s2, enc.failed_u, enc.failed_v
         want = oracle_first_typical(inst.u_cb.tolist(), a.tolist(),
                                     inst._dist["p_ua"].tolist(), delta)
         assert with_fallback(s1, f_u) == want
         want = oracle_first_refinement(inst.u_cb[s1].tolist(), inst.v_cb[s1].tolist(),
                                        a.tolist(), inst._dist["p_va_given_u"].tolist(), delta)
         assert with_fallback(s2, f_v) == want
-        s, f_w = inst._encode_charlie_rows(c)
+        ch = inst.encode_charlie(c)
+        s, f_w = ch.s, ch.failed
         want = oracle_first_typical(inst.w_cb.tolist(), c.tolist(),
                                     inst._dist["p_wc"].tolist(), delta)
         assert with_fallback(s, f_w) == want
@@ -396,6 +400,26 @@ class TestCodewordSearch:
         else:
             assert inst.encode_charlie(seq) == inst.encode_charlie(seq.astype(int))
 
+    def test_batch_encoders_match_per_row_calls(self):
+        src, inst = two_layer_code()
+        a, c = (x.reshape(3, 5, 8) for x in source_rows(src, 8, 15, seed=7))
+        alice, charlie = inst.encode_alice(a), inst.encode_charlie(c)
+        js = inst.alice_message_index(a)
+        for idx in np.ndindex(3, 5):
+            enc, ch = inst.encode_alice(a[idx]), inst.encode_charlie(c[idx])
+            assert enc == AliceEncoding(**{f: getattr(alice, f)[idx].item() for f in vars(enc)})
+            assert ch == CharlieEncoding(**{f: getattr(charlie, f)[idx].item() for f in vars(ch)})
+            assert js[idx] == inst.alice_message_index(a[idx])
+            assert js[idx] == enc.r1 * inst.config.bins_v + enc.r2
+        # one sequence gives Python scalars, a batch of one gives arrays
+        enc = inst.encode_alice(a[0, 0])
+        assert {type(getattr(enc, f)) for f in vars(enc)} == {int, bool}
+        assert type(inst.alice_message_index(a[0, 0])) is int
+        assert inst.encode_charlie(c[:1, 0]).s.shape == (1,)
+        assert inst.encode_alice(a[:0, 0]).s1.shape == (0,)
+        with pytest.raises(ValidationError, match="length"):
+            inst.encode_alice(a[..., :7])
+
     @pytest.mark.parametrize("seed", [*range(12), "slack"])
     def test_type_table_matches_enumerated_joint_types(self, seed):
         p, n, delta = small_law(seed)
@@ -414,7 +438,8 @@ class TestCodewordSearch:
         _, c = source_rows(src, 8, 60, seed=5)
         want = oracle_first_typical(inst.w_cb.tolist(), c.tolist(), p_wc.tolist(), delta)
         monkeypatch.setattr(simulate, "_SUBSET_BITS", 0)
-        assert with_fallback(*inst._encode_charlie_rows(c)) == want
+        enc = inst.encode_charlie(c)
+        assert with_fallback(enc.s, enc.failed) == want
         monkeypatch.undo()
 
         t = next(t for t, s in enumerate(want) if s >= 0)
@@ -430,7 +455,8 @@ class TestCodewordSearch:
             return allowed
 
         monkeypatch.setattr(simulate, "_allowed_types", wrong)
-        assert with_fallback(*inst._encode_charlie_rows(c)) != want
+        enc = inst.encode_charlie(c)
+        assert with_fallback(enc.s, enc.failed) != want
 
     def test_single_sequence_charlie_scans_in_blocks(self, monkeypatch):
         # criterion 8's n = 14 code: the type table settles the all-zero c^n,
@@ -469,8 +495,10 @@ class TestCodewordSearch:
         for i, words in enumerate(calls):
             assert words.tolist() == inst.w_cb[cands[32 * i:32 * (i + 1)]].tolist()
 
-    def test_decoder_matches_triple_loop(self):
-        # the multi-candidate toy of the ambiguity test above, at n = 8
+    def test_decoder_matches_triple_loop(self, monkeypatch):
+        # the multi-candidate toy of the ambiguity test above, at n = 8; the
+        # batch call over the whole (r1, r2, k) grid, in blocks of one request
+        # and of several, gives the per-request results
         src = JointSource.from_channels(np.array([0.5, 0.5]), Channel.bsc(0.2), Channel.bsc(0.25))
         sys = AuxiliarySystem(Channel.identity(2), Channel.bsc(0.11), Channel.bsc(0.1),
                               np.array([[0, 0], [1, 1]]))
@@ -481,10 +509,19 @@ class TestCodewordSearch:
             cfg = inst.config
             books = inst.u_cb.tolist(), inst.v_cb.tolist(), inst.w_cb.tolist()
             p_uvw = inst._dist["p_uvw"].tolist()
+            grid = np.ix_(range(cfg.bins_u), range(cfg.bins_v), range(cfg.bins_w))
+            batches = []
+            for pairs in (1, 7, simulate._PAIRS):
+                monkeypatch.setattr(simulate, "_PAIRS", pairs)
+                batches.append(inst.decode_bob(grid[:2], grid[2]))
             for r1 in range(cfg.bins_u):
                 for r2 in range(cfg.bins_v):
                     for k in range(cfg.bins_w):
                         res = inst.decode_bob((r1, r2), k)
+                        for batch in batches:
+                            assert vars(res).keys() == vars(batch).keys()
+                            for f, value in vars(batch).items():
+                                assert np.array_equal(value[r1, r2, k], getattr(res, f))
                         count, (s1, s2, s) = oracle_decode(
                             *books, list(range(r1, cfg.num_u, cfg.bins_u)),
                             list(range(r2, cfg.num_v, cfg.bins_v)),
@@ -496,6 +533,41 @@ class TestCodewordSearch:
                         counts.append(count)
         # no match, one match and several matches all occur
         assert 0 in counts and 1 in counts and max(counts) > 1
+
+    @pytest.mark.parametrize("j, k", [
+        ((0.5, 0), 0), ((0, 0), 1.5), ((0, 0), math.nan), ((-1, 0), 0), ((0, 0), "0"),
+        ((np.zeros(2, dtype=int), np.zeros(3, dtype=int)), 0),
+    ], ids=["fractional_r1", "fractional_k", "nan_k", "negative_r1", "text_k", "no_broadcast"])
+    def test_decoder_rejects_bad_requests(self, j, k):
+        _, inst = two_layer_code()
+        with pytest.raises(ValidationError, match="bin ind"):
+            inst.decode_bob(j, k)
+
+    @pytest.mark.parametrize("code", ["two_layer", "sweep"])
+    def test_shard_matches_per_trial_decode_loop(self, code):
+        # the two-layer code decodes every trial ambiguously; the sweep code
+        # decodes some trials wrongly and none ambiguously
+        if code == "two_layer":
+            src, inst = two_layer_code()
+        else:
+            src = make_bec_bsc_source(SWEEP_P, h2(SWEEP_P))
+            inst = generate_codebooks(src, wz_system(SWEEP_ALPHA, SWEEP_W, SWEEP_RECON),
+                                      sweep_config(8))
+        cfg, m = inst.config, 300
+        shard = simulate._run_shard((inst, HAMMING2.table, 0, m))
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, 0)))
+        draw = rng.choice(src.probs.size, size=(simulate.TRIAL_SHARD, cfg.n),
+                          p=src.probs.ravel())[:m]
+        want = {"error": [], "ambiguous": [], "distortion": []}
+        for a_n, c_n in zip(draw // 6, (draw // 2) % 3):
+            enc, ch = inst.encode_alice(a_n), inst.encode_charlie(c_n)
+            res = inst.decode_bob((enc.r1, enc.r2), ch.r)
+            want["error"].append(not (res.n_matches == 1
+                                      and (res.s1, res.s2, res.s) == (enc.s1, enc.s2, ch.s)))
+            want["ambiguous"].append(res.n_matches > 1)
+            want["distortion"].append(HAMMING2.table[a_n, res.a_hat].mean())
+        assert {key: shard[key].tolist() for key in want} == want
+        assert 0 < sum(want["error"]) and 0 < np.mean(want["distortion"]) < 1
 
 
 class TestExactEquivocation:
