@@ -18,9 +18,12 @@ Three search engines trace region frontiers:
 The ascent, the lossless search (its bounds are ``InnerBounds`` with the
 helper rate as the R_C cap) and the oracle share one score (``_score``) and
 one checked winner-to-point path (``_inner_point``).  The ascents and the
-lossless search read every entropy from ``probability.SubsetEntropies``.
-The oracle's ``_block_entropy`` is the one exception: its elementwise chains
-keep each oracle value independent of the block it is computed in.
+lossless search read every entropy from ``probability.SubsetEntropies``: an
+evaluation declares its subsets (``regions.INNER_SUBSETS``, 16 of them, or
+``regions.LOSSLESS_SUBSETS``, 8) and the engine's cached plan for them
+computes every marginal and entropy in one pass.  The oracle's
+``_block_entropy`` is the one exception: its elementwise chains keep each
+oracle value independent of the block it is computed in.
 
 All searches are deterministic for a fixed seed, independent of worker count:
 work is split into fixed-size shards and reduced with a stable tie-break
@@ -48,10 +51,12 @@ from .probability import (
     DistortionMeasure,
     JointSource,
     SubsetEntropies,
+    check_integer,
     entropy_unchecked,
     h2_inv,
 )
 from .regions import (
+    INNER_SUBSETS,
     InnerBounds,
     RegionPoint,
     binary_bec_bsc_bounds,
@@ -190,10 +195,9 @@ def parallel_map(fn, items, workers: int = 1):
     """Ordered map; results are identical for any worker count.
 
     Runs in this process when there is one worker or at most one item;
-    fewer than one worker is a ``ValidationError``.
+    ``workers`` must be an integer of at least 1.
     """
-    if not workers >= 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
+    workers = check_integer("workers", workers, 1)
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -373,7 +377,8 @@ def _system_bounds(source: JointSource, d: DistortionMeasure, uv, va, wc
     The search loops call this thousands of times, so it skips the
     ``Channel`` and ``AuxiliarySystem`` validation of ``inner_bound_point``.
     """
-    h = SubsetEntropies(np.einsum("vu,av,cw,ace->uvwace", uv, va, wc, source.probs))
+    h = SubsetEntropies(np.einsum("vu,av,cw,ace->uvwace", uv, va, wc, source.probs),
+                        INNER_SUBSETS)
     recon = optimal_reconstruction(h.marginal(1, 2, 3), d)  # p(v, w, a)
     return inner_bounds_of_joint(h, d, recon), recon
 
@@ -383,17 +388,19 @@ _INFEASIBLE_BASE = -1e6
 
 def _violation(d_min, r_a, r_c, r_sum, cons: RegionConstraints):
     """Total excess of the D, R_A, R_C and R_A + R_C bounds over the caps
-    of ``cons``; works on floats and, elementwise, on arrays."""
-    return (np.maximum(d_min - cons.max_d, 0.0) + np.maximum(r_a - cons.max_r_a, 0.0)
-            + np.maximum(r_c - cons.max_r_c, 0.0)
-            + np.maximum(r_sum - cons.max_r_a - cons.max_r_c, 0.0))
+    of ``cons``; on floats (Python's ``max``, for the ascent's one system per
+    call) and, elementwise, on arrays (the oracle's blocks)."""
+    pos = max if isinstance(d_min, float) else np.maximum
+    return (pos(d_min - cons.max_d, 0.0) + pos(r_a - cons.max_r_a, 0.0)
+            + pos(r_c - cons.max_r_c, 0.0) + pos(r_sum - cons.max_r_a - cons.max_r_c, 0.0))
 
 
 def _capped(delta_max, delta_minus_rc_max, cons: RegionConstraints):
     """Largest Delta the two Delta bounds allow under the helper-rate cap
-    max_r_c; works on floats and, elementwise, on arrays."""
+    max_r_c; on floats and, elementwise, on arrays."""
     if math.isfinite(cons.max_r_c):
-        return np.minimum(delta_max, cons.max_r_c + delta_minus_rc_max)
+        least = min if isinstance(delta_max, float) else np.minimum
+        return least(delta_max, cons.max_r_c + delta_minus_rc_max)
     return delta_max
 
 
@@ -404,11 +411,11 @@ def _score(bounds: InnerBounds, constraints: RegionConstraints) -> float:
     ``_INFEASIBLE_BASE - violation`` so the ascent first descends the
     constraint violation and then maximizes Delta.
     """
-    violation = float(_violation(bounds.d_min, bounds.r_a_min, bounds.r_c_min, bounds.sum_min,
-                                 constraints))
+    violation = _violation(bounds.d_min, bounds.r_a_min, bounds.r_c_min, bounds.sum_min,
+                           constraints)
     if violation > SLACK:
         return _INFEASIBLE_BASE - violation
-    return max(0.0, float(_capped(bounds.delta_max, bounds.delta_minus_rc_max, constraints)))
+    return max(0.0, _capped(bounds.delta_max, bounds.delta_minus_rc_max, constraints))
 
 
 def _project_rows(mat: np.ndarray) -> np.ndarray:
@@ -533,8 +540,6 @@ def _start_worker(shapes, corners, start):
 def _multistart(jobs, shapes, corners, n_starts: int, workers: int) -> list[tuple]:
     """Per (objective, seed_key) of ``jobs``, the ``_better``-best (value, key,
     channels) over ``n_starts`` ascents; one ``parallel_map`` runs them all."""
-    if not n_starts >= 1:
-        raise ValidationError(f"n_starts must be at least 1, got {n_starts}")
     starts = [(objective, seed_key, i) for objective, seed_key in jobs for i in range(n_starts)]
     runs = parallel_map(functools.partial(_start_worker, shapes, corners), starts, workers)
     return [_best(runs[i:i + n_starts]) for i in range(0, len(runs), n_starts)]
@@ -547,13 +552,20 @@ def _objective(bounds_of, cons, chans) -> float:
 
 
 def _checked_caps(source: JointSource, caps) -> tuple[int, int, int]:
-    """``caps`` as a tuple of three positive sizes within ``prop1_caps``."""
+    """``caps`` as a tuple of three positive integer sizes within ``prop1_caps``."""
     p1 = prop1_caps(source)
     caps = tuple(caps)
-    if len(caps) != 3 or not all(0 < c <= hi for c, hi in zip(caps, p1)):
-        raise ValidationError(f"caps must be three positive sizes within the sufficient "
-                              f"bounds {p1}, got {caps}")
+    if len(caps) != 3:
+        raise ValidationError(f"caps must be three sizes, got {caps}")
+    caps = tuple(check_integer("each cap", c, 1) for c in caps)
+    if not all(c <= hi for c, hi in zip(caps, p1)):
+        raise ValidationError(f"caps must lie within the sufficient bounds {p1}, got {caps}")
     return caps
+
+
+def _checked_search(n_starts, seed) -> tuple[int, int]:
+    """A multi-start search's ``n_starts`` (at least 1) and ``seed`` (at least 0)."""
+    return check_integer("n_starts", n_starts, 1), check_integer("seed", seed, 0)
 
 
 def generic_inner_frontier(
@@ -576,6 +588,7 @@ def generic_inner_frontier(
     na, nc, _ = source.alphabet_sizes
     check_distortion(source, d)
     cap_u, cap_v, cap_w = _checked_caps(source, prop1_caps(source) if caps is None else caps)
+    n_starts, seed = _checked_search(n_starts, seed)
     if fixed_w_given_c is not None and fixed_w_given_c.input_size != nc:
         raise ValidationError("fixed_w_given_c input size must match |C|")
 
@@ -671,6 +684,7 @@ def lossless_frontier(
     """
     na = source.alphabet_sizes[0]
     nu = na + 2
+    n_starts, seed = _checked_search(n_starts, seed)
     r_c_grid = [float(x) for x in r_c_grid]
     if any(math.isnan(x) for x in r_c_grid) or any(b < a for a, b in zip(r_c_grid, r_c_grid[1:])):
         raise ValidationError(f"r_c_grid must be nondecreasing numbers, got {r_c_grid}")

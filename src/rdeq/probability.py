@@ -6,15 +6,22 @@ convolution a*b = a(1-b) + (1-a)b, and composition of the auxiliary-variable
 joint p(u,v,w,a,c,e).
 
 ``SubsetEntropies`` is the one engine that turns a table into marginals,
-entropies, conditional entropies and (conditional) mutual informations; the
-validated ``entropy``, ``mutual_information``, ``conditional_entropy`` and
+entropies, conditional entropies and (conditional) mutual informations.  Its
+caller declares the axis subsets it reads, and one cached plan per table
+shape and subset list (``_plan``) computes all of them in one pass: a
+gather that sorts the table's cells by their marginal cell, one
+``np.add.reduceat`` into every marginal and one more into every entropy.
+The validated ``mutual_information``, ``conditional_entropy`` and
 ``conditional_mi`` check their table and make one call into it, and every
-region evaluator and search reads its quantities from it.
+region evaluator and search reads its quantities from it.  The validated
+``entropy`` checks its table and calls ``entropy_unchecked``, the one
+``p log p`` of a whole table, which the simulator also uses.
 
 Conventions
 -----------
 * All rates and entropies are in bits.
-* 0 log 0 = 0; zero-mass cells are skipped rather than special-cased.
+* 0 log 0 = 0: ``entropy_unchecked`` skips zero-mass cells, and a plan's
+  zero-mass marginal cells add 0 * 0.
 * Dense ndarray tables everywhere; target alphabets are tiny.
 * Distributions must be normalized to 1 within ``NORM_TOL``, whether built
   as a ``Channel``/``JointSource`` or passed to a validated measure.
@@ -26,9 +33,13 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +62,14 @@ def check_range(name: str, x, hi: float = 1.0) -> np.ndarray:
     if not np.all(inside):
         raise ValidationError(f"{name} must lie in [0, {hi:g}], got {x[~inside].flat[0]}")
     return x
+
+
+def check_integer(name: str, x, least: int) -> int:
+    """``x`` as an int no smaller than ``least``; a bool, a float (even a
+    whole one) or any other non-integer is rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {x!r}")
+    return int(x)
 
 
 def h2_unchecked(x) -> np.ndarray:
@@ -131,36 +150,108 @@ def _clamp_info(value: float, name: str) -> float:
     return max(0.0, value)
 
 
-class SubsetEntropies:
-    """Marginals and entropies of one dense joint, each computed once.
+class _Plan(NamedTuple):
+    """How one pass turns a table into the marginals and entropies of its subsets.
 
-    The one engine behind every marginal, entropy, conditional entropy and
-    (conditional) mutual information.  Both caches are keyed on the sorted
-    axis set, so naming the same variables in another order reuses the entry
-    and every marginal is the same ``p.sum(axis=drop)`` call.  The entropy of
-    the empty set is 0.
+    ``gather`` lists the table's flat cell indices, subset by subset, each
+    subset's cells sorted by their marginal cell (stably, so in ascending
+    flat index); ``cell_starts`` is where each marginal cell begins in it and
+    ``subset_starts`` where each subset's cells begin among all marginal
+    cells.  ``index`` maps each subset to its position, and ``shapes`` holds
+    each subset's marginal shape.
     """
 
-    def __init__(self, p: np.ndarray) -> None:
-        self.p = p
-        self._marginals: dict[tuple[int, ...], np.ndarray] = {}
-        self._entropies: dict[tuple[int, ...], float] = {(): 0.0}
+    gather: np.ndarray
+    cell_starts: np.ndarray
+    subset_starts: np.ndarray
+    index: dict
+    shapes: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(shape: tuple[int, ...], subsets: tuple[tuple[int, ...], ...]) -> _Plan:
+    """The plan of ``subsets`` over a table of ``shape``, each subset keyed by
+    its sorted axes; an axis outside the table raises."""
+    subsets = tuple(dict.fromkeys(tuple(sorted(s)) for s in subsets))
+    ndim = len(shape)
+    for s in subsets:
+        if not all(ax in range(ndim) for ax in s):
+            raise ValidationError(f"axes {s} must lie in [0, {ndim - 1}] for a {ndim}-d table")
+    size = math.prod(shape)
+    coords = np.indices(shape).reshape(ndim, size)
+    gather, cell_starts, subset_starts, shapes = [], [], [], []
+    n_cells = 0
+    for i, s in enumerate(subsets):
+        sub = tuple(shape[ax] for ax in s)
+        k = math.prod(sub)
+        cell = np.zeros(size, dtype=np.intp)  # each joint cell's marginal cell, row-major
+        for ax in s:
+            cell = cell * shape[ax] + coords[ax]
+        gather.append(np.argsort(cell, kind="stable"))
+        cell_starts.append(i * size + np.arange(k) * (size // k))
+        subset_starts.append(n_cells)
+        shapes.append(sub)
+        n_cells += k
+    arrays = (np.concatenate(gather), np.concatenate(cell_starts), np.array(subset_starts))
+    for a in arrays:  # shared by every caller of the cache
+        a.setflags(write=False)
+    return _Plan(*arrays, {s: i for i, s in enumerate(subsets)}, tuple(shapes))
+
+
+class SubsetEntropies:
+    """Marginals and entropies of one dense joint, all of a plan in one pass.
+
+    The one engine behind every marginal, entropy, conditional entropy and
+    (conditional) mutual information.  The caller declares the axis subsets
+    it reads; their plan (``_plan``, cached per table shape and subset list)
+    sums the joint's cells into every marginal with one ``np.add.reduceat``
+    and every marginal's ``-m log2 m`` (0 log 0 = 0) into its entropy with
+    another.  Each marginal cell and each entropy is summed from its own
+    contiguous run of data, so a quantity computed alone is bit-identical to
+    the same quantity in any batch; a subset that was not declared is
+    computed alone, through a one-subset plan, on first use.  Subsets are
+    keyed by their sorted axes, so the order the variables are named in does
+    not matter.  The entropy of the empty set is 0; an axis outside the table
+    raises ``ValidationError``.
+    """
+
+    def __init__(self, p: np.ndarray, subsets: tuple[tuple[int, ...], ...] = ()) -> None:
+        self.p = np.asarray(p, dtype=float)
+        self._entropies: dict[tuple[int, ...], float] = {}
+        self._passes: list[tuple[_Plan, np.ndarray]] = []
+        if subsets:
+            self._evaluate(subsets)
+
+    def _evaluate(self, subsets: tuple[tuple[int, ...], ...]) -> None:
+        """Compute every marginal and entropy of ``subsets`` in one pass."""
+        plan = _plan(self.p.shape, subsets)
+        m = np.add.reduceat(self.p.ravel()[plan.gather], plan.cell_starts)
+        log_m = np.zeros_like(m)
+        np.log2(m, out=log_m, where=m > 0.0)
+        # 0 - min(sum, 0) is max(0, -sum) and never -0.0
+        h = 0.0 - np.minimum(np.add.reduceat(m * log_m, plan.subset_starts), 0.0)
+        self._entropies.update(zip(plan.index, h.tolist()))
+        self._passes.append((plan, m))
 
     def marginal(self, *axes: int) -> np.ndarray:
         """Marginal over ``axes``, kept in the joint's axis order."""
         key = tuple(sorted(axes))
-        m = self._marginals.get(key)
-        if m is None:
-            drop = tuple(ax for ax in range(self.p.ndim) if ax not in key)
-            m = self._marginals[key] = self.p.sum(axis=drop) if drop else self.p
-        return m
+        if key not in self._entropies:
+            self._evaluate((key,))
+        plan, m = next((plan, m) for plan, m in self._passes if key in plan.index)
+        i = plan.index[key]
+        start = plan.subset_starts[i]
+        return m[start:start + math.prod(plan.shapes[i])].reshape(plan.shapes[i])
 
     def __call__(self, *axes: int) -> float:
         """H(X_axes)."""
+        if not axes:
+            return 0.0
         key = tuple(sorted(axes))
         h = self._entropies.get(key)
         if h is None:
-            h = self._entropies[key] = entropy_unchecked(self.marginal(*key))
+            self._evaluate((key,))
+            h = self._entropies[key]
         return h
 
     def cond(self, x: tuple[int, ...], z: tuple[int, ...]) -> float:

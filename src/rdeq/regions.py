@@ -9,11 +9,12 @@ module searches.
 
 Every discrete evaluator composes its joint and reads each entropy and
 (conditional) mutual information from ``probability.SubsetEntropies``, under
-its one clamp rule; the six inner bounds are written once, in
-``inner_bounds_of_joint``.  The coded, corner and uncoded evaluators share one
-composition path (``_entropies``), which also checks that the distortion table
-and the reconstruction map fit the source; the uncoded region is the inner
-region at W = C.
+its one clamp rule, declaring the subsets it reads (``INNER_SUBSETS``,
+``LOSSLESS_SUBSETS``) so that one pass computes them; the six inner bounds
+are written once, in ``inner_bounds_of_joint``.  The coded, corner and
+uncoded evaluators share one composition path (``_entropies``), which also
+checks that the distortion table and the reconstruction map fit the source;
+the uncoded region is the inner region at W = C.
 
 Cardinality caps are deliberately not enforced here: membership testing must
 accept systems of any size.  Only the optimizer applies the caps.
@@ -40,6 +41,17 @@ from .probability import (
 
 #: axis names for the composed joint
 _U, _V, _W, _A, _C, _E = range(6)
+
+#: the subsets of (u, v, w, a, c, e) whose entropies ``inner_bounds_of_joint``
+#: reads; (v, w, a) also gives the distortion's marginal
+INNER_SUBSETS = (
+    (_U,), (_V,), (_W,), (_U, _A), (_U, _W), (_U, _E), (_V, _W), (_V, _A), (_V, _C),
+    (_W, _A), (_A, _C), (_U, _W, _A), (_U, _A, _E), (_V, _W, _A), (_V, _W, _C),
+    (_V, _W, _A, _C),
+)
+
+#: the subsets of (u, a, c, e) whose entropies ``_lossless`` reads
+LOSSLESS_SUBSETS = ((0,), (2,), (0, 1), (0, 2), (0, 3), (1, 2), (0, 1, 2), (0, 1, 3))
 
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -193,7 +205,7 @@ def _entropies(source: JointSource, d: DistortionMeasure, sys: AuxiliarySystem
     ``d`` and its reconstruction map are checked to fit the source."""
     check_reconstruction(source, d, sys.reconstruction)
     return SubsetEntropies(
-        compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c)
+        compose_full_joint(source, sys.u_given_v, sys.v_given_a, sys.w_given_c), INNER_SUBSETS
     )
 
 
@@ -307,7 +319,7 @@ def _lossless(source: JointSource, u_given_a: np.ndarray
     raw rows p(u|a): the helper search calls it per move, without a ``Channel``."""
     if u_given_a.shape[0] != source.alphabet_sizes[0]:
         raise ValidationError("u_given_a input size must match |A|")
-    h = SubsetEntropies(np.einsum("au,ace->uace", u_given_a, source.probs))
+    h = SubsetEntropies(np.einsum("au,ace->uace", u_given_a, source.probs), LOSSLESS_SUBSETS)
     bounds = InnerBounds(
         r_a_min=h.cond((1,), (2,)),
         r_c_min=h.cond((2,), (0,)),

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .probability import DistortionMeasure, JointSource, entropy_unchecked
+from .probability import DistortionMeasure, JointSource, check_integer, entropy_unchecked
 from .regions import AuxiliarySystem, check_reconstruction
 
 TRIAL_SHARD = 2048          # trials per seeding shard; fixed for reproducibility
@@ -110,8 +109,7 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValidationError(f"blocklength must be an integer >= 1, got {self.n!r}")
+        check_integer("blocklength", self.n, 1)
         for name in ("r1", "r2", "rc_link", "s1", "s2", "sc"):
             rate = getattr(self, name)
             if not 0 <= rate < math.inf:

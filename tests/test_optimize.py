@@ -24,6 +24,7 @@ from rdeq.optimize import (
     FrontierPoint,
     FrontierResult,
     RegionConstraints,
+    _capped,
     _channel_count,
     _channel_grid,
     _objective,
@@ -35,6 +36,7 @@ from rdeq.optimize import (
     convexify,
     generic_inner_frontier,
     lossless_frontier,
+    parallel_map,
     prop1_caps,
 )
 from rdeq.regions import (
@@ -314,6 +316,38 @@ def test_each_search_call_starts_one_pool(monkeypatch):
     assert started == [2]
     lossless_frontier(src, [1.0, 1.5, 2.0], n_starts=2, seed=0, workers=2)
     assert started == [2, 2]
+
+
+_BAD_INTEGERS = {
+    "ascent n_starts=2.5": lambda src: generic_inner_frontier(
+        src, HAMMING2, (2, 2, 2), n_starts=2.5),
+    "ascent n_starts=True": lambda src: generic_inner_frontier(
+        src, HAMMING2, (2, 2, 2), n_starts=True),
+    "ascent seed=1.5": lambda src: generic_inner_frontier(
+        src, HAMMING2, (2, 2, 2), n_starts=1, seed=1.5),
+    "ascent seed=-1": lambda src: generic_inner_frontier(
+        src, HAMMING2, (2, 2, 2), n_starts=1, seed=-1),
+    "ascent caps (2.0, 2, 2)": lambda src: generic_inner_frontier(
+        src, HAMMING2, (2.0, 2, 2), n_starts=1),
+    "ascent workers=True": lambda src: generic_inner_frontier(
+        src, HAMMING2, (2, 2, 2), n_starts=1, workers=True),
+    "lossless n_starts=True": lambda src: lossless_frontier(src, [1.0], n_starts=True),
+    "lossless seed=-1": lambda src: lossless_frontier(src, [1.0], n_starts=1, seed=-1),
+    "lossless workers=1.5": lambda src: lossless_frontier(src, [1.0], n_starts=1,
+                                                          workers=1.5),
+    "oracle caps (1.5, 2, 2)": lambda src: brute_force_oracle(src, HAMMING2, (1.5, 2, 2), 0.5),
+    "oracle caps (2.0, 2, 2)": lambda src: brute_force_oracle(src, HAMMING2, (2.0, 2, 2), 0.5),
+    "parallel_map workers=1.5": lambda src: parallel_map(abs, [1, 2], workers=1.5),
+    "parallel_map workers=True": lambda src: parallel_map(abs, [1, 2], workers=True),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_INTEGERS.values(), ids=_BAD_INTEGERS.keys())
+def test_bad_integer_argument_is_a_validation_error(call):
+    # fractional, whole-float, negative and boolean counts, seeds, caps and
+    # worker counts; each raised TypeError or ValueError, or was accepted
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(make_bec_bsc_source(0.1, 0.3))
 
 
 class TestLosslessFrontier:
@@ -675,9 +709,12 @@ _CONSTRAINT_SETS = [
        st.sampled_from(_CONSTRAINT_SETS))
 @settings(max_examples=200, deadline=None)
 def test_violation_on_arrays_equals_scalar_calls(rows, cons):
-    got = _violation(*np.array(rows).T, cons)
+    cols = np.array(rows).T
+    got = _violation(*cols, cons)
+    capped = _capped(cols[0], cols[1], cons)
     for i, row in enumerate(rows):
         assert got[i] == _violation(*row, cons)
+        assert capped[i] == _capped(row[0], row[1], cons)
 
 
 @given(st.data())

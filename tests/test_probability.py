@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,14 +22,17 @@ from rdeq import (
     mutual_information,
     star,
 )
-from rdeq.probability import SubsetEntropies, bob_more_capable
+from rdeq.probability import SubsetEntropies, _plan, bob_more_capable
+from rdeq.regions import INNER_SUBSETS, LOSSLESS_SUBSETS, _lossless, inner_bounds_of_joint
 
 from _oracles import (
     oracle_cond_entropy_from_dict,
     oracle_cond_mi,
     oracle_entropy,
+    oracle_entropy_of,
     oracle_full_joint,
     oracle_h2,
+    oracle_marginal,
     oracle_mi,
 )
 
@@ -188,6 +192,90 @@ class TestEngine:
         # a table summing to 2 gives I(X;Y) = 0 + 0 - 2: beyond rounding, so it raises
         with pytest.raises(ValidationError, match="mutual information"):
             SubsetEntropies(np.full((2, 2), 0.5)).cmi((0,), (1,))
+
+
+def all_subsets(ndim):
+    return [s for k in range(ndim + 1) for s in itertools.combinations(range(ndim), k)]
+
+
+class TestSubsetPlan:
+    """``SubsetEntropies``'s one-pass plan against the plain-python oracles."""
+
+    @pytest.mark.parametrize("ndim", range(1, 7))
+    def test_entropies_and_marginals_match_oracle(self, ndim):
+        rng = np.random.default_rng(ndim)
+        for trial in range(3):
+            shape = tuple(rng.integers(1, 4, size=ndim))
+            p = rng.exponential(size=shape) * (rng.random(shape) < 0.7)  # some zero cells
+            p.flat[0] += 1e-3
+            p /= p.sum()
+            subsets = all_subsets(ndim)
+            h = SubsetEntropies(p, tuple(subsets[1:]))
+            for s in subsets:
+                want, want_shape = oracle_marginal(as_dict(p), p.shape, s)
+                got = h.marginal(*s)
+                assert got.shape == want_shape
+                want_table = np.array([want[i] for i in np.ndindex(want_shape)])
+                np.testing.assert_allclose(got, want_table.reshape(want_shape),
+                                           rtol=0, atol=1e-15)
+                assert h(*s) == pytest.approx(oracle_entropy_of(want), abs=1e-13)
+
+    def test_alone_is_bit_identical_to_batch(self):
+        rng = np.random.default_rng(5)
+        src = JointSource(rand_dist(rng, (2, 3, 2)))
+        chans = (rand_channel(rng, 3, 2), rand_channel(rng, 2, 3), rand_channel(rng, 3, 2))
+        p = compose_full_joint(src, *chans)
+        batch = SubsetEntropies(p, INNER_SUBSETS)
+        assert len(INNER_SUBSETS) == 16
+        for s in INNER_SUBSETS:
+            alone = SubsetEntropies(p)  # nothing declared: a one-subset plan
+            assert alone(*s) == batch(*s)
+            assert SubsetEntropies(p).marginal(*s).tobytes() == batch.marginal(*s).tobytes()
+
+    def test_marginal_matches_numpy_sum(self):
+        rng = np.random.default_rng(6)
+        p = rand_dist(rng, (2, 3, 2, 4, 1))
+        h = SubsetEntropies(p, tuple(all_subsets(5)))
+        for s in all_subsets(5):
+            drop = tuple(ax for ax in range(5) if ax not in s)
+            assert np.abs(h.marginal(*s) - p.sum(axis=drop)).max() <= 1e-15
+
+    def test_each_shape_gets_its_own_plan(self):
+        rng = np.random.default_rng(7)
+        tables = [rand_dist(rng, shape) for shape in ((2, 4), (4, 2), (8,))]
+        plans = {id(_plan(p.shape, ((0,),))) for p in tables}
+        assert len(plans) == 3
+        for p in tables:
+            h = SubsetEntropies(p, ((0,),))
+            want = p.sum(axis=1) if p.ndim == 2 else p
+            assert h(0) == pytest.approx(oracle_entropy(want.tolist()), abs=1e-14)
+            np.testing.assert_allclose(h.marginal(0), want, rtol=0, atol=1e-15)
+
+    def test_subsets_are_keyed_by_their_sorted_axes(self):
+        p = np.array([[0.1, 0.2, 0.3], [0.05, 0.15, 0.2]])
+        h = SubsetEntropies(p, ((1, 0), (1,), (1,)))
+        assert h(0, 1) == h(1, 0) == SubsetEntropies(p)(0, 1)
+        assert set(h._entropies) == {(0, 1), (1,)}
+
+    @pytest.mark.parametrize("call", [
+        lambda h: h.cmi((5,), (1,)), lambda h: h(2), lambda h: h(-1),
+        lambda h: h.marginal(0, 3), lambda h: h.cond((0,), (1.5,)),
+    ], ids=["cmi", "entropy", "negative", "marginal", "fractional"])
+    def test_axis_outside_the_table_rejected(self, call):
+        with pytest.raises(ValidationError, match="must lie in"):
+            call(SubsetEntropies(np.full((2, 2), 0.25)))
+        with pytest.raises(ValidationError, match="must lie in"):
+            SubsetEntropies(np.full((2, 2), 0.25), ((0,), (2,)))
+
+    def test_evaluators_read_only_their_declared_subsets(self):
+        rng = np.random.default_rng(8)
+        src = JointSource(rand_dist(rng, (2, 3, 2)))
+        chans = (rand_channel(rng, 3, 2), rand_channel(rng, 2, 3), rand_channel(rng, 3, 2))
+        h = SubsetEntropies(compose_full_joint(src, *chans), INNER_SUBSETS)
+        inner_bounds_of_joint(h, DistortionMeasure.hamming(2), np.zeros((3, 2), dtype=int))
+        assert set(h._entropies) == set(INNER_SUBSETS)
+        _, h = _lossless(src, rand_channel(rng, 2, 4).rows)
+        assert set(h._entropies) == set(LOSSLESS_SUBSETS)
 
 
 class TestScalars:
