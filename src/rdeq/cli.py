@@ -240,9 +240,6 @@ def _load_sim_config(path: str):
             d = DistortionMeasure(np.asarray(dist_spec["table"], dtype=float))
         trials = obj.get("trials", 0)
         equiv = obj.get("compute_equivocation", True)
-    if type(trials) is not int or trials < 0:
-        raise ValidationError(f"simulate config 'trials' must be a non-negative integer, "
-                              f"got {trials!r}")
     if type(equiv) is not bool:
         raise ValidationError(f"simulate config 'compute_equivocation' must be true or false, "
                               f"got {equiv!r}")
@@ -303,33 +300,23 @@ def reproduce_fig10() -> tuple[list[str], list[str]]:
     wz = binary_frontier(p, eps, grid, force_beta_zero=True)
     d_opt = opt.deltas()
     d_wz = wz.deltas()
+    high = max(abs(a - b) for g, a, b in zip(grid, d_opt, d_wz) if g >= 0.039)
+    low = max(a - b for g, a, b in zip(grid, d_opt, d_wz) if g < 0.01)
+    verdicts = (  # (failure name, claim, whether it holds)
+        ("dominance", "optimal curve dominates single-layer curve everywhere",
+         bool(np.all(d_opt >= d_wz - 1e-12))),
+        ("coincide_above_0.039",
+         f"curves coincide within 1e-3 for D >= 0.039 (max gap {high:.2e})", high <= 1e-3),
+        ("separation_below_0.01",
+         f"curves differ by > 5e-3 below D = 0.01 (max gap {low:.2e})", low > 5e-3),
+        ("monotonicity", "optimal curve nondecreasing in D",
+         bool(np.all(np.diff(d_opt) >= -1e-9))),
+    )
     lines, failures = [], []
-
-    dominated = bool(np.all(d_opt >= d_wz - 1e-12))
-    if not dominated:
-        failures.append("dominance")
-    lines.append(f"optimal curve dominates single-layer curve everywhere: "
-                 f"{'ok' if dominated else 'FAIL'}")
-
-    high = [abs(a - b) for g, a, b in zip(grid, d_opt, d_wz) if g >= 0.039]
-    coincide = max(high) <= 1e-3
-    if not coincide:
-        failures.append("coincide_above_0.039")
-    lines.append(f"curves coincide within 1e-3 for D >= 0.039 (max gap {max(high):.2e}): "
-                 f"{'ok' if coincide else 'FAIL'}")
-
-    low = [a - b for g, a, b in zip(grid, d_opt, d_wz) if g < 0.01]
-    separated = max(low) > 5e-3
-    if not separated:
-        failures.append("separation_below_0.01")
-    lines.append(f"curves differ by > 5e-3 below D = 0.01 (max gap {max(low):.2e}): "
-                 f"{'ok' if separated else 'FAIL'}")
-
-    nondecr = bool(np.all(np.diff(d_opt) >= -1e-9))
-    if not nondecr:
-        failures.append("monotonicity")
-    lines.append(f"optimal curve nondecreasing in D: {'ok' if nondecr else 'FAIL'}")
-
+    for name, claim, ok in verdicts:
+        if not ok:
+            failures.append(name)
+        lines.append(f"{claim}: {'ok' if ok else 'FAIL'}")
     merge = binary_merge_threshold(p, eps)
     lines.append(_check("merge threshold", merge, 0.036, MERGE_TOL, failures))
     return lines, failures
@@ -416,7 +403,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as err:
+    except (ValidationError, OSError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetError as err:

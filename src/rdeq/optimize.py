@@ -51,6 +51,8 @@ from .probability import (
     DistortionMeasure,
     JointSource,
     SubsetEntropies,
+    _check_chain,
+    _full_joint,
     check_integer,
     entropy_unchecked,
     h2_inv,
@@ -61,6 +63,9 @@ from .regions import (
     RegionPoint,
     binary_bec_bsc_bounds,
     binary_bec_bsc_bounds_unchecked,
+    _A,
+    _V,
+    _W,
     _check_binary,
     _lossless,
     check_distortion,
@@ -227,6 +232,18 @@ def _best(cands) -> tuple | None:
 # binary (alpha, beta) frontier
 # ---------------------------------------------------------------------------
 
+def _sweep_grid(name: str, grid) -> list[float]:
+    """A frontier's sweep values ``grid`` as a list of floats, free of NaN and
+    nondecreasing."""
+    try:
+        grid = [float(x) for x in grid]
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{name} must be a sequence of numbers: {err}") from None
+    if any(math.isnan(x) for x in grid) or any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValidationError(f"{name} must be nondecreasing numbers, got {grid}")
+    return grid
+
+
 def _binary_alpha_range(eps: float, d: float, rate_cap: float | None) -> tuple[float, float] | None:
     """Feasible alpha interval under D >= eps*alpha and R_A <= rate_cap."""
     alpha_hi = 0.5 if eps <= 0.0 else min(0.5, d / eps)
@@ -287,9 +304,7 @@ def binary_frontier(
     _check_binary(p, eps, 0.0, 0.0)
     if rate_cap is not None and not rate_cap >= 0.0:
         raise ValidationError(f"rate_cap must be a non-negative number, got {rate_cap}")
-    d_grid = [float(x) for x in d_grid]
-    if any(b < a for a, b in zip(d_grid, d_grid[1:])):
-        raise ValidationError("d_grid must be nondecreasing")
+    d_grid = _sweep_grid("d_grid", d_grid)
     feasible, rows = [], []
     for d in d_grid:
         if not d >= -SLACK:
@@ -377,9 +392,8 @@ def _system_bounds(source: JointSource, d: DistortionMeasure, uv, va, wc
     The search loops call this thousands of times, so it skips the
     ``Channel`` and ``AuxiliarySystem`` validation of ``inner_bound_point``.
     """
-    h = SubsetEntropies(np.einsum("vu,av,cw,ace->uvwace", uv, va, wc, source.probs),
-                        INNER_SUBSETS)
-    recon = optimal_reconstruction(h.marginal(1, 2, 3), d)  # p(v, w, a)
+    h = SubsetEntropies(_full_joint(source, uv, va, wc), INNER_SUBSETS)
+    recon = optimal_reconstruction(h.marginal(_V, _W, _A), d)
     return inner_bounds_of_joint(h, d, recon), recon
 
 
@@ -551,8 +565,13 @@ def _objective(bounds_of, cons, chans) -> float:
     return _score(bounds_of(*chans)[0], cons)
 
 
-def _checked_caps(source: JointSource, caps) -> tuple[int, int, int]:
-    """``caps`` as a tuple of three positive integer sizes within ``prop1_caps``."""
+def _search_entry(source: JointSource, d: DistortionMeasure, caps, fixed_w_given_c
+                  ) -> tuple[int, int, tuple[int, int, int]]:
+    """|A|, |C| and the checked ``caps`` of a search over auxiliary systems:
+    ``d`` must fit the source, ``caps`` be three positive integer sizes within
+    ``prop1_caps`` and a fixed p(w|c) have |C| input symbols."""
+    na, nc, _ = source.alphabet_sizes
+    check_distortion(source, d)
     p1 = prop1_caps(source)
     caps = tuple(caps)
     if len(caps) != 3:
@@ -560,7 +579,8 @@ def _checked_caps(source: JointSource, caps) -> tuple[int, int, int]:
     caps = tuple(check_integer("each cap", c, 1) for c in caps)
     if not all(c <= hi for c, hi in zip(caps, p1)):
         raise ValidationError(f"caps must lie within the sufficient bounds {p1}, got {caps}")
-    return caps
+    _check_chain(source, w_given_c=fixed_w_given_c)
+    return na, nc, caps
 
 
 def _checked_search(n_starts, seed) -> tuple[int, int]:
@@ -585,12 +605,9 @@ def generic_inner_frontier(
     reconstruction map is always set to the distortion-minimizing symbol.
     The reported value is a lower bound on the true frontier.
     """
-    na, nc, _ = source.alphabet_sizes
-    check_distortion(source, d)
-    cap_u, cap_v, cap_w = _checked_caps(source, prop1_caps(source) if caps is None else caps)
+    na, nc, (cap_u, cap_v, cap_w) = _search_entry(
+        source, d, prop1_caps(source) if caps is None else caps, fixed_w_given_c)
     n_starts, seed = _checked_search(n_starts, seed)
-    if fixed_w_given_c is not None and fixed_w_given_c.input_size != nc:
-        raise ValidationError("fixed_w_given_c input size must match |C|")
 
     # the searched channels are p(u|v), p(v|a) and, unless it is fixed, p(w|c)
     shapes = [(cap_v, cap_u), (na, cap_v)]
@@ -685,9 +702,7 @@ def lossless_frontier(
     na = source.alphabet_sizes[0]
     nu = na + 2
     n_starts, seed = _checked_search(n_starts, seed)
-    r_c_grid = [float(x) for x in r_c_grid]
-    if any(math.isnan(x) for x in r_c_grid) or any(b < a for a, b in zip(r_c_grid, r_c_grid[1:])):
-        raise ValidationError(f"r_c_grid must be nondecreasing numbers, got {r_c_grid}")
+    r_c_grid = _sweep_grid("r_c_grid", r_c_grid)
 
     # Below H(C|A) no helper is feasible, as H(C|U) >= H(C|A) along U - A - C:
     # such a rate gets no search.  A searched rate caps R_C (rates within
@@ -910,15 +925,12 @@ def brute_force_oracle(
     the V, U and W grid sizes; a grid of more than ``budget`` systems (their
     product) is refused with ``BudgetError``.
     """
-    na, nc, _ = source.alphabet_sizes
-    check_distortion(source, d)
-    cu, cv, cw = caps = _checked_caps(source, caps)
+    na, nc, caps = _search_entry(source, d, caps, fixed_w_given_c)
+    cu, cv, cw = caps
     if not 0.0 < grid_step <= 1.0:
         raise ValidationError(f"grid_step must lie in (0, 1], got {grid_step}")
     m = round(1.0 / grid_step)
     fixed = fixed_w_given_c is not None
-    if fixed and fixed_w_given_c.input_size != nc:
-        raise ValidationError("fixed_w_given_c input size must match |C|")
     shapes = [(na, cv), (cv, cu), (nc, 1 if fixed else cw)]  # a fixed W counts as one channel
     budget = _ORACLE_BUDGET if budget is None else budget
     # an orbit holds at most k! channels, so a grid has at least C(m+k-1, k-1)^n_in // k!

@@ -24,7 +24,8 @@ Conventions
   zero-mass marginal cells add 0 * 0.
 * Dense ndarray tables everywhere; target alphabets are tiny.
 * Distributions must be normalized to 1 within ``NORM_TOL``, whether built
-  as a ``Channel``/``JointSource`` or passed to a validated measure.
+  as a ``Channel`` (each row) or ``JointSource`` or passed to a validated
+  measure; ``_check_distribution`` is the one check for all of them.
 * One clamp rule for every conditional entropy and (conditional) mutual
   information: a value that rounds slightly negative, above ``NEG_TOL``, is
   clamped to 0; one below ``NEG_TOL`` raises, since that signals a real bug.
@@ -64,11 +65,14 @@ def check_range(name: str, x, hi: float = 1.0) -> np.ndarray:
     return x
 
 
-def check_integer(name: str, x, least: int) -> int:
-    """``x`` as an int no smaller than ``least``; a bool, a float (even a
-    whole one) or any other non-integer is rejected."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {x!r}")
+def check_integer(name: str, x, least: int, most: int | None = None) -> int:
+    """``x`` as an int in [least, most] (unbounded above for ``most=None``);
+    a bool, a float (even a whole one) or any other non-integer is rejected,
+    and a numpy integer is accepted."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least
+            or (most is not None and x > most)):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValidationError(f"{name} must be an integer {bound}, got {x!r}")
     return int(x)
 
 
@@ -120,17 +124,22 @@ def star(a, b):
 # information measures on dense tables
 # ---------------------------------------------------------------------------
 
-def _check_distribution(p: np.ndarray) -> np.ndarray:
+def _check_distribution(p, name: str = "distribution", axis: int | None = None) -> np.ndarray:
+    """``p`` as a float array that is not empty, has finite entries none below
+    ``-NORM_TOL``, and sums to 1 within ``NORM_TOL``: as a whole, or along
+    ``axis`` (each row of a channel, for ``axis=1``)."""
     p = np.asarray(p, dtype=float)
     if p.size == 0:
-        raise ValidationError("empty distribution")
+        raise ValidationError(f"empty {name}")
     if not np.all(np.isfinite(p)):
-        raise ValidationError("distribution has a non-finite entry")
+        raise ValidationError(f"{name} has a non-finite entry")
     if np.any(p < -NORM_TOL):
-        raise ValidationError(f"negative probability entry: min={p.min()}")
-    total = p.sum()
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValidationError(f"distribution sums to {total}, expected 1 within {NORM_TOL}")
+        raise ValidationError(f"{name} has a negative entry: min={p.min()}")
+    sums = np.atleast_1d(p.sum(axis=axis))
+    bad = sums[np.abs(sums - 1.0) > NORM_TOL]
+    if bad.size:
+        where = "" if axis is None else f" along axis {axis}"
+        raise ValidationError(f"{name} sums to {bad[0]}{where}, expected 1 within {NORM_TOL}")
     return p
 
 
@@ -280,13 +289,11 @@ def mutual_information(joint: np.ndarray) -> float:
 def conditional_entropy(joint: np.ndarray, given_axes: tuple[int, ...] | int) -> float:
     """H(rest | given) in bits from a joint table of any dimension."""
     p = _check_distribution(joint)
-    if isinstance(given_axes, int):
-        given_axes = (given_axes,)
-    if not all(ax in range(-p.ndim, p.ndim) for ax in given_axes):
-        raise ValidationError(f"given_axes must lie in [-{p.ndim}, {p.ndim - 1}], got {given_axes}")
-    if not given_axes:
+    axes = tuple(given_axes) if np.iterable(given_axes) else (given_axes,)
+    if not axes:
         raise ValidationError("given_axes must name at least one axis")
-    given = tuple(sorted({ax % p.ndim for ax in given_axes}))
+    given = tuple(sorted({check_integer("each of given_axes", ax, -p.ndim, p.ndim - 1) % p.ndim
+                          for ax in axes}))
     return SubsetEntropies(p).cond(tuple(ax for ax in range(p.ndim) if ax not in given), given)
 
 
@@ -295,9 +302,7 @@ def conditional_mi(joint: np.ndarray, conditioning_axis: int) -> float:
     p = _check_distribution(joint)
     if p.ndim != 3:
         raise ValidationError(f"conditional_mi expects a 3-d joint, got ndim={p.ndim}")
-    if conditioning_axis not in range(-3, 3):
-        raise ValidationError(f"conditioning_axis must lie in [-3, 2], got {conditioning_axis}")
-    z = conditioning_axis % 3
+    z = check_integer("conditioning_axis", conditioning_axis, -3, 2) % 3
     x, y = (ax for ax in range(3) if ax != z)
     return SubsetEntropies(p).cmi((x,), (y,), (z,))
 
@@ -334,13 +339,7 @@ class Channel:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise ValidationError(f"channel matrix must be 2-d, got ndim={rows.ndim}")
-        if not np.all(np.isfinite(rows)):
-            raise ValidationError("channel has a non-finite entry")
-        if np.any(rows < -NORM_TOL):
-            raise ValidationError("channel has a negative entry")
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > NORM_TOL):
-            raise ValidationError(f"channel rows must sum to 1 within {NORM_TOL}")
+        rows = _check_distribution(rows, "channel", axis=1)
         object.__setattr__(self, "rows", _freeze(np.clip(rows, 0.0, None)))
 
     @property
@@ -400,12 +399,7 @@ class JointSource:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 3:
             raise ValidationError(f"source table must be 3-d (a, c, e), got ndim={p.ndim}")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("source has a non-finite entry")
-        if np.any(p < -NORM_TOL):
-            raise ValidationError("source has a negative entry")
-        if abs(p.sum() - 1.0) > NORM_TOL:
-            raise ValidationError(f"source sums to {p.sum()}, expected 1 within {NORM_TOL}")
+        p = _check_distribution(p, "source")
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None)))
 
     @property
@@ -478,6 +472,22 @@ class DistortionMeasure:
         return DistortionMeasure(1.0 - np.eye(n))
 
 
+def _check_chain(source: JointSource, *, v_given_a: Channel | None = None,
+                 w_given_c: Channel | None = None) -> None:
+    """Reject a p(v|a) without |A| input symbols or a p(w|c) without |C|."""
+    na, nc, _ = source.alphabet_sizes
+    for name, channel, size in (("v_given_a", v_given_a, na), ("w_given_c", w_given_c, nc)):
+        if channel is not None and channel.input_size != size:
+            raise ValidationError(f"{name} expects input size {size}, got {channel.input_size}")
+
+
+def _full_joint(source: JointSource, uv: np.ndarray, va: np.ndarray, wc: np.ndarray
+                ) -> np.ndarray:
+    """p(u,v,w,a,c,e) = p(u|v) p(v|a) p(w|c) p(a,c,e), axes in that order, from
+    raw rows, unvalidated: the one composition of the six-variable joint."""
+    return np.einsum("vu,av,cw,ace->uvwace", uv, va, wc, source.probs)
+
+
 def compose_full_joint(
     source: JointSource,
     u_given_v: Channel,
@@ -486,27 +496,12 @@ def compose_full_joint(
 ) -> np.ndarray:
     """The read-only table p(u,v,w,a,c,e) = p(u|v) p(v|a) p(w|c) p(a,c,e),
     axes in that order; every pair of adjoining channels must match in size."""
-    na, nc, _ = source.alphabet_sizes
-    if v_given_a.input_size != na:
-        raise ValidationError(
-            f"v_given_a expects input size {na}, got {v_given_a.input_size}"
-        )
+    _check_chain(source, v_given_a=v_given_a, w_given_c=w_given_c)
     if u_given_v.input_size != v_given_a.output_size:
         raise ValidationError(
             f"u_given_v expects input size {v_given_a.output_size}, got {u_given_v.input_size}"
         )
-    if w_given_c.input_size != nc:
-        raise ValidationError(
-            f"w_given_c expects input size {nc}, got {w_given_c.input_size}"
-        )
-    probs = np.einsum(
-        "vu,av,cw,ace->uvwace",
-        u_given_v.rows,
-        v_given_a.rows,
-        w_given_c.rows,
-        source.probs,
-    )
-    return _freeze(probs)
+    return _freeze(_full_joint(source, u_given_v.rows, v_given_a.rows, w_given_c.rows))
 
 
 # ---------------------------------------------------------------------------

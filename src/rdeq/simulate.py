@@ -24,7 +24,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .probability import DistortionMeasure, JointSource, check_integer, entropy_unchecked
+from .probability import (DistortionMeasure, JointSource, _check_chain, check_integer,
+                          entropy_unchecked)
 from .regions import AuxiliarySystem, check_reconstruction
 
 TRIAL_SHARD = 2048          # trials per seeding shard; fixed for reproducibility
@@ -110,6 +111,7 @@ class CodeConfig:
 
     def __post_init__(self) -> None:
         check_integer("blocklength", self.n, 1)
+        check_integer("seed", self.seed, 0)
         for name in ("r1", "r2", "rc_link", "s1", "s2", "sc"):
             rate = getattr(self, name)
             if not 0 <= rate < math.inf:
@@ -481,9 +483,7 @@ def generate_codebooks(source: JointSource, sys: AuxiliarySystem, cfg: CodeConfi
         raise BudgetError(
             f"codebooks need {entries} table entries, above the budget of {entry_budget}"
         )
-    na, nc, _ = source.alphabet_sizes
-    if sys.v_given_a.input_size != na or sys.w_given_c.input_size != nc:
-        raise ValidationError("auxiliary system does not match the source alphabets")
+    _check_chain(source, v_given_a=sys.v_given_a, w_given_c=sys.w_given_c)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     dist = _code_distributions(source, sys)
     u_cb = _sample_typical(rng, dist["p_u"], cfg.num_u, cfg.n, cfg.delta, "u")
@@ -705,8 +705,7 @@ def run_experiment(
     """
     from .optimize import parallel_map
 
-    if trials < 0:
-        raise ValidationError("trials must be non-negative")
+    trials = check_integer("trials", trials, 0)
     check_reconstruction(source, d, sys.reconstruction)
     instance = generate_codebooks(source, sys, cfg)
     shards = [(instance, d.table, idx, min(TRIAL_SHARD, trials - lo))

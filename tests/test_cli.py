@@ -258,6 +258,8 @@ class TestSimulateCommand:
         (("code", "r1"), float("nan")),
         (("code", "s1"), float("inf")),
         (("code", "delta_n"), float("nan")),
+        (("code", "seed"), -1),
+        (("code", "seed"), 1.5),
         (("system", "reconstruction"), [[0, 0, -1], [0, 1, 1]]),
         (("system", "reconstruction"), [[0, 0, 5], [0, 1, 1]]),
         (("system", "reconstruction"), [[0, 0.9, 1.7], [0, 1, 1]]),
@@ -363,6 +365,19 @@ def test_non_numeric_flag_is_a_usage_error(argv, text):
 def test_nan_or_infinite_flag_is_a_validation_error(argv, capsys, tmp_path):
     argv = [sweep_sim_config(tmp_path) if a == SIM_CONFIG else a for a in argv]
     rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "validation error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--source", "<dir>", "--max-d", "0.3", "--starts", "1"],
+    ["lossless", "--source", "<dir>", "--rc-grid", "2.0", "--starts", "1"],
+    ["simulate", "--config", "<dir>"],
+    ["binary", "--p", "0.1", "--eps", "h2p", "--d", "0.01", "--out", "<dir>"],
+], ids=lambda argv: f"{argv[0]} {argv[argv.index('<dir>') - 1]}")
+def test_directory_path_is_a_validation_error(argv, capsys, tmp_path):
+    # opening a directory raised IsADirectoryError, which escaped with exit 1
+    rc, _, err = run_cli([str(tmp_path) if a == "<dir>" else a for a in argv], capsys)
     assert rc == 2
     assert "validation error" in err
 

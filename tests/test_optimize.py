@@ -15,7 +15,8 @@ from _oracles import (
     oracle_exhaustive,
     oracle_project_simplex,
 )
-from rdeq import BudgetError, Channel, DistortionMeasure, JointSource, ValidationError, h2, h2_inv
+from rdeq import (BudgetError, Channel, CodeConfig, DistortionMeasure, JointSource,
+                  ValidationError, h2, h2_inv, run_experiment)
 from rdeq.probability import entropy, make_bec_bsc_source
 from rdeq import optimize, regions
 from rdeq.optimize import (
@@ -339,7 +340,18 @@ _BAD_INTEGERS = {
     "oracle caps (2.0, 2, 2)": lambda src: brute_force_oracle(src, HAMMING2, (2.0, 2, 2), 0.5),
     "parallel_map workers=1.5": lambda src: parallel_map(abs, [1, 2], workers=1.5),
     "parallel_map workers=True": lambda src: parallel_map(abs, [1, 2], workers=True),
+    "run_experiment trials=2.5": lambda src: _run_trials(src, 2.5),
+    "run_experiment trials=True": lambda src: _run_trials(src, True),
 }
+
+
+def _run_trials(src, trials):
+    # codebooks of this code exceed the entry budget, so a trials check made
+    # after drawing them would raise BudgetError instead
+    cfg = CodeConfig(n=26, r1=1.0, r2=0.0, rc_link=0.0, s1=1.0, s2=0.0, sc=0.0)
+    system = AuxiliarySystem(Channel.identity(2), Channel.identity(2), Channel.constant(3),
+                             np.zeros((2, 1), dtype=int))
+    return run_experiment(src, system, HAMMING2, cfg, trials)
 
 
 @pytest.mark.parametrize("call", _BAD_INTEGERS.values(), ids=_BAD_INTEGERS.keys())

@@ -188,6 +188,21 @@ class TestEngine:
         with pytest.raises(ValidationError, match="given_axes"):
             conditional_entropy(q, (0, 5))
 
+    def test_axis_must_be_an_integer(self):
+        # a numpy integer is an axis; a float or a bool raised TypeError or was read as 1
+        p = np.full((2, 2, 2), 0.125)
+        q = np.array([[0.4, 0.1], [0.2, 0.3]])
+        assert conditional_entropy(q, np.int64(1)) == conditional_entropy(q, 1)
+        assert conditional_entropy(q, (np.int64(0),)) == conditional_entropy(q, (0,))
+        assert conditional_mi(p, np.int64(-1)) == conditional_mi(p, 2)
+        for axis in (1.0, True):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                conditional_entropy(q, axis)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                conditional_entropy(q, (0, axis))
+            with pytest.raises(ValidationError, match="must be an integer"):
+                conditional_mi(p, axis)
+
     def test_clamp_raises_below_neg_tol(self):
         # a table summing to 2 gives I(X;Y) = 0 + 0 - 2: beyond rounding, so it raises
         with pytest.raises(ValidationError, match="mutual information"):
@@ -395,6 +410,13 @@ class TestChannelsAndSource:
         bad = np.full((2, 2, 2), 0.1)
         with pytest.raises(ValidationError):
             JointSource(bad)
+
+    def test_empty_tables_rejected(self):
+        # an empty channel was accepted, with input_size 0
+        for make in (lambda: Channel(np.zeros((0, 2))), lambda: Channel(np.zeros((2, 0))),
+                     lambda: JointSource(np.zeros((0, 2, 2))), lambda: entropy(np.zeros(0))):
+            with pytest.raises(ValidationError, match="empty"):
+                make()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):

@@ -116,6 +116,7 @@ class TestCodeConfig:
     @pytest.mark.parametrize("field, value", [
         ("r1", math.nan), ("sc", math.nan), ("s1", math.inf),
         ("delta_n", math.nan), ("delta_n", math.inf), ("n", 4.5), ("n", 8.0),
+        ("seed", -1), ("seed", 1.5),
     ])
     def test_non_finite_rate_or_slack_or_non_integer_n(self, field, value):
         args = dict(n=8, r1=0.0, r2=0.0, rc_link=0.0, s1=0.0, s2=0.0, sc=0.0, delta_n=0.2)
